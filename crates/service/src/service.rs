@@ -13,9 +13,8 @@ use unisvd_matrix::Matrix;
 use unisvd_oocore::{OocMode, OutOfCore};
 use unisvd_scalar::{PrecisionKind, Scalar, F16};
 
-/// The service's internal tuning knobs — the non-deprecated owner of
-/// the values [`ServiceBuilder`] accumulates (and the deprecated
-/// [`ServiceConfig`] converts into).
+/// The service's internal tuning knobs — the values [`ServiceBuilder`]
+/// accumulates.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Knobs {
     /// Independently locked cache shards (`0` clamps to 1).
@@ -62,102 +61,10 @@ impl Default for Knobs {
     }
 }
 
-/// Tuning knobs for an [`SvdService`]'s plan cache and submission queue.
-///
-/// Deprecated in favor of the builder — construct services with
-/// [`SvdService::builder`], which names every knob as a method instead
-/// of a struct literal (see the README migration table):
-///
-/// ```
-/// use unisvd_gpu::hw;
-/// use unisvd_service::SvdService;
-///
-/// let service = SvdService::builder(&hw::h100())
-///     .shards(4)
-///     .plans_per_shard(16)
-///     .queue_depth(256)
-///     .build();
-/// assert_eq!(service.hw().name, "NVIDIA H100");
-/// ```
-#[deprecated(note = "use `SvdService::builder(&hw)` and its knob methods instead")]
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceConfig {
-    /// Number of independently locked cache shards (`0` is clamped to
-    /// 1). More shards mean less lock contention between unrelated
-    /// signatures; the default (8) is ample for the lock hold times
-    /// involved (map operations only — never a solve).
-    pub shards: usize,
-    /// Resident-plan bound per shard. `0` disables caching entirely:
-    /// every request plans from scratch (the cold-path baseline the
-    /// throughput bench measures against).
-    pub plans_per_shard: usize,
-    /// Device-memory budget for all resident plans, in bytes. `None`
-    /// uses the device's full budget (memory net of the 25% workspace
-    /// headroom — the same rule behind `PlanError::ExceedsDeviceMemory`).
-    pub max_cache_bytes: Option<u64>,
-    /// Submission-queue depth bound: [`submit`](SvdService::submit)
-    /// returns [`ServiceError::QueueFull`] once this many requests are
-    /// queued unexecuted (`0` is clamped to 1). Default 1024.
-    pub max_queue_depth: usize,
-    /// How long the drainer holds a batch open for further
-    /// same-signature arrivals after the first — the coalescing window.
-    /// `Duration::ZERO` batches only what is already queued. Default
-    /// 200 µs.
-    pub coalesce_window: Duration,
-    /// Most requests coalesced into one batched execute (`0` is clamped
-    /// to 1). Default 64, matching the batch executor's chunk bound.
-    pub max_coalesce: usize,
-    /// Admission floor on device-memory headroom: a submission whose
-    /// plan is *not* resident (it may need new device memory) is refused
-    /// with [`ServiceError::Shedding`] while the cache ledger's
-    /// available bytes are below this. Resident-signature requests are
-    /// always admitted — they need no new memory. `0` (the default)
-    /// disables shedding.
-    pub shed_headroom_bytes: u64,
-}
-
-#[allow(deprecated)]
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        let k = Knobs::default();
-        ServiceConfig {
-            shards: k.shards,
-            plans_per_shard: k.plans_per_shard,
-            max_cache_bytes: k.max_cache_bytes,
-            max_queue_depth: k.max_queue_depth,
-            coalesce_window: k.coalesce_window,
-            max_coalesce: k.max_coalesce,
-            shed_headroom_bytes: k.shed_headroom_bytes,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServiceConfig> for Knobs {
-    fn from(cfg: ServiceConfig) -> Knobs {
-        Knobs {
-            shards: cfg.shards,
-            plans_per_shard: cfg.plans_per_shard,
-            max_cache_bytes: cfg.max_cache_bytes,
-            max_queue_depth: cfg.max_queue_depth,
-            coalesce_window: cfg.coalesce_window,
-            max_coalesce: cfg.max_coalesce,
-            shed_headroom_bytes: cfg.shed_headroom_bytes,
-            // The deprecated config predates the out-of-core subsystem
-            // and the self-healing knobs; both stay opt-in through the
-            // builder only.
-            oocore_fallback: false,
-            retries: 0,
-            retry_backoff: Duration::ZERO,
-            verify_outputs: false,
-        }
-    }
-}
-
 /// Accumulates an [`SvdService`]'s tuning knobs, then
 /// [`build`](Self::build)s it. Obtained from [`SvdService::builder`];
-/// every knob has the same default the old `ServiceConfig::default()`
-/// had, so `SvdService::builder(&hw).build()` ≡ `SvdService::new(&hw)`.
+/// every knob has a default, so `SvdService::builder(&hw).build()` ≡
+/// `SvdService::new(&hw)`.
 ///
 /// ```
 /// use std::time::Duration;
@@ -602,13 +509,6 @@ impl SvdService {
         }
     }
 
-    /// A service for device `hw` with explicit cache knobs.
-    #[deprecated(note = "use `SvdService::builder(&hw)` and its knob methods instead")]
-    #[allow(deprecated)]
-    pub fn with_config(hw: &HardwareDescriptor, cfg: ServiceConfig) -> Self {
-        Self::from_knobs(hw, cfg.into())
-    }
-
     pub(crate) fn from_knobs(hw: &HardwareDescriptor, knobs: Knobs) -> Self {
         let budget = knobs.max_cache_bytes.unwrap_or_else(|| hw.budget_bytes());
         // A faulted descriptor injects into the cache ledger too: plan
@@ -694,7 +594,17 @@ impl SvdService {
         out: &mut SvdOutput,
     ) -> Result<(), SvdError> {
         let _flight = self.inner.begin_flight(1);
-        self.inner.solve_into(a, cfg, out)
+        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
+        // A group of one over the caller's own slots, so the warm path
+        // stays allocation-free.
+        let mut status = Ok(());
+        self.inner.run_group(
+            &sig,
+            std::slice::from_ref(&a),
+            std::slice::from_mut(out),
+            std::slice::from_mut(&mut status),
+        );
+        status
     }
 
     /// Enqueues one request and returns a [`Ticket`] for its result —
@@ -927,13 +837,43 @@ impl SvdService {
     ///
     /// Errors are **per request**: a failing solve (or a group whose
     /// plan cannot be built) leaves every other request's result intact.
+    /// The healing policy is exactly [`solve`](Self::solve)'s: each
+    /// transient failure is retried on its own under
+    /// [`ServiceBuilder::retry`], outputs are checked under
+    /// [`ServiceBuilder::verify_outputs`], and every final result feeds
+    /// the device's fault streak and the failure counter.
     pub fn solve_batch<T: Scalar>(
         &self,
         mats: &[Matrix<T>],
         cfg: &SvdConfig,
     ) -> Vec<Result<SvdOutput, SvdError>> {
         let _flight = self.inner.begin_flight(mats.len() as u64);
-        self.inner.solve_batch(mats, cfg)
+        // Group request indices by shape, in first-seen order (a linear
+        // scan per distinct shape: batches have few distinct shapes).
+        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+        for (i, a) in mats.iter().enumerate() {
+            let shape = (a.rows(), a.cols());
+            match groups.iter_mut().find(|(s, _)| *s == shape) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((shape, vec![i])),
+            }
+        }
+        let mut results: Vec<Option<Result<SvdOutput, SvdError>>> =
+            mats.iter().map(|_| None).collect();
+        for ((rows, cols), idxs) in groups {
+            let sig = self.signature::<T>(rows, cols, cfg);
+            let group: Vec<&Matrix<T>> = idxs.iter().map(|&i| &mats[i]).collect();
+            let mut outs: Vec<SvdOutput> = idxs.iter().map(|_| SvdOutput::empty()).collect();
+            let mut statuses = vec![Ok(()); idxs.len()];
+            self.inner.run_group(&sig, &group, &mut outs, &mut statuses);
+            for ((i, out), status) in idxs.into_iter().zip(outs).zip(statuses) {
+                results[i] = Some(status.map(|()| out));
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every request index belongs to exactly one group"))
+            .collect()
     }
 
     /// One coherent snapshot of the cache counters/residency and the
@@ -1028,7 +968,6 @@ impl Inner {
     fn checkout_or_plan<T: Scalar>(
         &self,
         sig: &PlanSignature,
-        cfg: &SvdConfig,
     ) -> Result<(Box<SvdPlan<T>>, bool), SvdError> {
         match self.cache.checkout(sig) {
             Some(cached) => {
@@ -1039,7 +978,7 @@ impl Inner {
                 Ok((plan, true))
             }
             None => {
-                let plan = self.builder::<T>(cfg).plan(sig.rows, sig.cols)?;
+                let plan = self.builder::<T>(&sig.config).plan(sig.rows, sig.cols)?;
                 Ok((Box::new(plan), false))
             }
         }
@@ -1090,35 +1029,6 @@ impl Inner {
         plan.execute_into(a, out)
     }
 
-    /// One solve attempt — no retry, no failure counting. Checks the
-    /// plan out (or builds it), executes, verifies when configured, and
-    /// publishes the plan back; the retry wrapper calls this once per
-    /// attempt so every attempt gets a fresh checkout.
-    fn solve_once<T: Scalar>(
-        &self,
-        a: &Matrix<T>,
-        cfg: &SvdConfig,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
-        let sig = self.builder::<T>(cfg).signature(a.rows(), a.cols());
-        let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, cfg) {
-            Ok(found) => found,
-            Err(e) if self.oocore_absorbs(&e) => {
-                return self.oocore_solve_into(a, cfg, out);
-            }
-            Err(e) => return Err(e),
-        };
-        let res = if warm {
-            plan.execute_into(a, out)
-        } else {
-            plan.execute_cold_into(a, out)
-        };
-        // The plan survives a solve-time fault (the *data path* was hit,
-        // not the resident factor layout), so it goes back either way.
-        self.publish(sig, plan);
-        res.and_then(|()| self.verify_out(out))
-    }
-
     /// [`SvdOutput::verify`] as a policy hook: when enabled, a failing
     /// check becomes a *transient* corruption fault — retried like any
     /// other transient, then surfaced as [`SvdError::DeviceFault`].
@@ -1154,30 +1064,6 @@ impl Inner {
         }
     }
 
-    fn solve_into<T: Scalar>(
-        &self,
-        a: &Matrix<T>,
-        cfg: &SvdConfig,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
-        let mut attempt = 0;
-        let res = loop {
-            let res = self.solve_once(a, cfg, out);
-            match &res {
-                Err(e) if e.is_transient() && attempt < self.knobs.retries => {
-                    attempt += 1;
-                    self.backoff(attempt);
-                }
-                _ => break res,
-            }
-        };
-        self.note_device_health(&res);
-        if res.is_err() {
-            self.record_failures(1);
-        }
-        res
-    }
-
     /// Builds and publishes one plan for `sig` (already vetted for this
     /// device); returns 1 when the plan is resident afterwards, 0 on a
     /// plan-time rejection or a declined publish.
@@ -1193,77 +1079,6 @@ impl Inner {
             }
             Err(_) => 0,
         }
-    }
-
-    fn solve_batch<T: Scalar>(
-        &self,
-        mats: &[Matrix<T>],
-        cfg: &SvdConfig,
-    ) -> Vec<Result<SvdOutput, SvdError>> {
-        // Group request indices by shape, in first-seen order (a linear
-        // scan per distinct shape: batches have few distinct shapes).
-        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-        for (i, a) in mats.iter().enumerate() {
-            let shape = (a.rows(), a.cols());
-            match groups.iter_mut().find(|(s, _)| *s == shape) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((shape, vec![i])),
-            }
-        }
-        let mut results: Vec<Option<Result<SvdOutput, SvdError>>> =
-            mats.iter().map(|_| None).collect();
-        for ((rows, cols), idxs) in groups {
-            let sig = self.builder::<T>(cfg).signature(rows, cols);
-            let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, cfg) {
-                Ok(found) => found,
-                Err(e) if self.oocore_absorbs(&e) => {
-                    // The whole group shares the oversized signature;
-                    // stream each member independently so a per-request
-                    // failure stays per-request.
-                    for i in idxs {
-                        let mut out = SvdOutput::empty();
-                        results[i] = Some(
-                            self.oocore_solve_into(&mats[i], cfg, &mut out)
-                                .map(|()| out),
-                        );
-                    }
-                    continue;
-                }
-                Err(e) => {
-                    // A plan-time rejection is inherently group-wide (the
-                    // whole group shares the failing signature) — but it
-                    // stays *within* the group: other groups' results are
-                    // untouched.
-                    for i in idxs {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                    continue;
-                }
-            };
-            // The group's first request uses the plan's own workspaces —
-            // and on a miss carries the one-shot driver cost, so cold
-            // serving cost is attributed identically to `solve`.
-            let first = idxs[0];
-            results[first] = Some(if warm {
-                plan.execute(&mats[first])
-            } else {
-                plan.execute_cold(&mats[first])
-            });
-            let rest = &idxs[1..];
-            if !rest.is_empty() {
-                let refs: Vec<&Matrix<T>> = rest.iter().map(|&i| &mats[i]).collect();
-                for (i, out) in rest.iter().zip(plan.execute_batch_refs(&refs)) {
-                    results[*i] = Some(out);
-                }
-            }
-            self.publish(sig, plan);
-        }
-        let results: Vec<Result<SvdOutput, SvdError>> = results
-            .into_iter()
-            .map(|r| r.expect("every request index belongs to exactly one group"))
-            .collect();
-        self.record_failures(results.iter().filter(|r| r.is_err()).count());
-        results
     }
 
     /// The drainer thread's main loop: pop coalesced same-signature
@@ -1282,19 +1097,17 @@ impl Inner {
             self.coalesced
                 .fetch_add(batch.len().saturating_sub(1) as u64, Ordering::Relaxed);
             match batch[0].sig.precision {
-                PrecisionKind::Fp64 => self.run_group::<f64>(&mut batch, &mut outs, &mut statuses),
-                PrecisionKind::Fp32 => self.run_group::<f32>(&mut batch, &mut outs, &mut statuses),
-                PrecisionKind::Fp16 => self.run_group::<F16>(&mut batch, &mut outs, &mut statuses),
+                PrecisionKind::Fp64 => self.run_batch::<f64>(&mut batch, &mut outs, &mut statuses),
+                PrecisionKind::Fp32 => self.run_batch::<f32>(&mut batch, &mut outs, &mut statuses),
+                PrecisionKind::Fp16 => self.run_batch::<F16>(&mut batch, &mut outs, &mut statuses),
             }
         }
     }
 
-    /// Executes one coalesced same-signature batch and resolves its
-    /// tickets in arrival order. Mirrors `solve_batch`'s group body: the
-    /// first request runs on the checked-out plan (cold driver cost on a
-    /// miss), the rest fan out through the plan's pooled batch workers;
-    /// failures are per request.
-    fn run_group<T: Scalar>(
+    /// Executes one coalesced same-signature batch through
+    /// [`run_group`](Self::run_group) and resolves its tickets in arrival
+    /// order.
+    fn run_batch<T: Scalar>(
         &self,
         batch: &mut Vec<Pending>,
         outs: &mut Vec<SvdOutput>,
@@ -1323,43 +1136,6 @@ impl Inner {
         if batch.is_empty() {
             return;
         }
-        let n = batch.len() as u64;
-        let sig = batch[0].sig;
-        let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, &sig.config) {
-            Ok(found) => found,
-            Err(e) if self.oocore_absorbs(&e) => {
-                // Oversized but streamable: solve each coalesced request
-                // through the out-of-core path, then resolve its ticket
-                // with exactly what `solve` would have produced.
-                let mut failed = 0;
-                self.in_flight.fetch_sub(n, Ordering::Relaxed);
-                for p in batch.drain(..) {
-                    let a = p
-                        .mat
-                        .downcast_ref::<Matrix<T>>()
-                        .expect("a batch signature encodes its matrices' precision");
-                    let mut out = SvdOutput::empty();
-                    let result = self
-                        .oocore_solve_into(a, &sig.config, &mut out)
-                        .map(|()| out);
-                    failed += usize::from(result.is_err());
-                    p.resolver.resolve(result);
-                }
-                self.record_failures(failed);
-                return;
-            }
-            Err(e) => {
-                self.record_failures(batch.len());
-                // Decrement before resolving: a waiter unblocked by the
-                // resolve must never observe its own request still
-                // counted in flight.
-                self.in_flight.fetch_sub(n, Ordering::Relaxed);
-                for p in batch.drain(..) {
-                    p.resolver.resolve(Err(e.clone()));
-                }
-                return;
-            }
-        };
         let n = batch.len();
         outs.clear();
         outs.resize_with(n, SvdOutput::empty);
@@ -1368,50 +1144,19 @@ impl Inner {
         // The drain loop checked `sig.precision == T::KIND` dispatching
         // here, and every batch entry shares `sig`, so the downcasts are
         // infallible.
-        fn matrix_of<T: Scalar>(p: &Pending) -> &Matrix<T> {
-            p.mat
-                .downcast_ref::<Matrix<T>>()
-                .expect("a batch signature encodes its matrices' precision")
-        }
-        statuses[0] = if warm {
-            plan.execute_into(matrix_of(&batch[0]), &mut outs[0])
-        } else {
-            plan.execute_cold_into(matrix_of(&batch[0]), &mut outs[0])
-        };
-        if n > 1 {
-            let refs: Vec<&Matrix<T>> = batch[1..].iter().map(matrix_of).collect();
-            plan.execute_batch_refs_into(&refs, &mut outs[1..], &mut statuses[1..]);
-        }
-        self.publish(sig, plan);
-        if self.knobs.verify_outputs {
-            for i in 0..n {
-                if statuses[i].is_ok() {
-                    statuses[i] = self.verify_out(&outs[i]);
-                }
-            }
-        }
-        // Bounded per-request retries for transient faults — each
-        // attempt re-checks the plan out of the cache (`solve_once`), so
-        // a retried request is indistinguishable from a fresh solve.
-        if self.knobs.retries > 0 {
-            for i in 0..n {
-                let mut attempt = 0;
-                while matches!(&statuses[i], Err(e) if e.is_transient())
-                    && attempt < self.knobs.retries
-                {
-                    attempt += 1;
-                    self.backoff(attempt);
-                    statuses[i] =
-                        self.solve_once(matrix_of::<T>(&batch[i]), &sig.config, &mut outs[i]);
-                }
-            }
-        }
-        for s in statuses.iter() {
-            self.note_device_health(s);
-        }
-        self.record_failures(statuses.iter().filter(|s| s.is_err()).count());
-        // Same ordering rule as the plan-failure path above: the gauge
-        // drops before any waiter can return from `Ticket::wait`.
+        let mats: Vec<&Matrix<T>> = batch
+            .iter()
+            .map(|p| {
+                p.mat
+                    .downcast_ref::<Matrix<T>>()
+                    .expect("a batch signature encodes its matrices' precision")
+            })
+            .collect();
+        self.run_group(&batch[0].sig, &mats, outs, statuses);
+        // The gauge drops only after execution — so the fleet router sees
+        // this backend loaded while it works — but before any resolve, so
+        // a waiter unblocked by `Ticket::wait` never observes its own
+        // request still counted in flight.
         self.in_flight.fetch_sub(n as u64, Ordering::Relaxed);
         for (i, p) in batch.drain(..).enumerate() {
             let result = match std::mem::replace(&mut statuses[i], Ok(())) {
@@ -1420,5 +1165,113 @@ impl Inner {
             };
             p.resolver.resolve(result);
         }
+    }
+
+    /// The one execution path behind `solve`, `solve_batch` and the
+    /// drainer: runs a same-signature group (`mats[i]` writes `outs[i]`
+    /// and `statuses[i]`), retries each transient failure on its own
+    /// under the retry policy, then feeds every final status into the
+    /// fault streak and the failure counter. `mats` must be non-empty.
+    fn run_group<T: Scalar>(
+        &self,
+        sig: &PlanSignature,
+        mats: &[&Matrix<T>],
+        outs: &mut [SvdOutput],
+        statuses: &mut [Result<(), SvdError>],
+    ) {
+        self.attempt_group(sig, mats, outs, statuses);
+        for i in 0..mats.len() {
+            let mut attempt = 0;
+            while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
+            {
+                attempt += 1;
+                self.backoff(attempt);
+                // A group of one: a retried request checks its plan out
+                // afresh, indistinguishable from a fresh solve.
+                self.attempt_group(
+                    sig,
+                    std::slice::from_ref(&mats[i]),
+                    std::slice::from_mut(&mut outs[i]),
+                    std::slice::from_mut(&mut statuses[i]),
+                );
+            }
+        }
+        for s in statuses.iter() {
+            self.note_device_health(s);
+        }
+        self.record_failures(statuses.iter().filter(|s| s.is_err()).count());
+    }
+
+    /// One attempt at a group — no retry, no accounting. Checks the plan
+    /// out (or builds it) and executes: the first request on the plan
+    /// itself (cold driver cost on a miss, so cold serving cost is
+    /// attributed identically on every entry point), the rest through
+    /// the plan's pooled batch workers. An oocore-eligible over-capacity
+    /// rejection streams each request instead; any other plan-time
+    /// rejection fails the whole group, which shares the signature.
+    /// Every successful output is then verified when configured.
+    fn attempt_group<T: Scalar>(
+        &self,
+        sig: &PlanSignature,
+        mats: &[&Matrix<T>],
+        outs: &mut [SvdOutput],
+        statuses: &mut [Result<(), SvdError>],
+    ) {
+        match self.checkout_or_plan::<T>(sig) {
+            Ok((mut plan, warm)) => {
+                statuses[0] = if warm {
+                    plan.execute_into(mats[0], &mut outs[0])
+                } else {
+                    plan.execute_cold_into(mats[0], &mut outs[0])
+                };
+                if mats.len() > 1 {
+                    plan.execute_batch_refs_into(&mats[1..], &mut outs[1..], &mut statuses[1..]);
+                }
+                // The plan survives a solve-time fault (the *data path*
+                // was hit, not the resident factor layout), so it goes
+                // back either way.
+                self.publish(*sig, plan);
+            }
+            Err(e) if self.oocore_absorbs(&e) => {
+                // Stream each member independently so a per-request
+                // failure stays per-request.
+                for ((a, out), status) in mats.iter().zip(outs.iter_mut()).zip(statuses.iter_mut())
+                {
+                    *status = self.oocore_solve_into(a, &sig.config, out);
+                }
+            }
+            Err(e) => statuses.fill(Err(e)),
+        }
+        for (out, status) in outs.iter().zip(statuses.iter_mut()) {
+            if status.is_ok() {
+                *status = self.verify_out(out);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unisvd_gpu::{hw, FaultPlan};
+
+    #[test]
+    fn batch_faults_feed_the_fault_streak() {
+        // Fleet breakers trip on the fault streak, so a blocking batch
+        // must report its retry-exhausted device faults exactly as
+        // `solve` does: one streak step and one failure per request.
+        // Batch workers run fault-free, so each request gets a shape of
+        // its own and leads its group on the faulted primary stream.
+        let chaotic = hw::h100().with_faults(FaultPlan::seeded(3).corrupt_rate(1.0));
+        let service = SvdService::builder(&chaotic).retry(1).build();
+        let mats: Vec<Matrix<f32>> = (0..4)
+            .map(|k| Matrix::from_fn(16 + 4 * k, 16, |i, j| ((i * 7 + j * 3) % 11) as f32))
+            .collect();
+        let results = service.solve_batch(&mats, &SvdConfig::default());
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, Err(SvdError::DeviceFault(_)))));
+        assert_eq!(service.fault_streak(), 4);
+        assert_eq!(service.stats().cache.failures, 4);
     }
 }

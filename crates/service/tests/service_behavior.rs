@@ -591,34 +591,6 @@ fn warm_reports_zero_when_caching_is_disabled() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_service_config_still_compiles_and_works() {
-    // The pre-builder construction path stays source-compatible for one
-    // release: `ServiceConfig` + `with_config` must keep producing a
-    // service equivalent to the builder's.
-    use unisvd_service::ServiceConfig;
-    let service = SvdService::with_config(
-        &h100(),
-        ServiceConfig {
-            shards: 1,
-            plans_per_shard: 2,
-            ..ServiceConfig::default()
-        },
-    );
-    let cfg = SvdConfig::default();
-    let a = random_square(24, 77);
-    let legacy = service.solve(&a, &cfg).unwrap();
-    let modern = SvdService::builder(&h100())
-        .shards(1)
-        .plans_per_shard(2)
-        .build()
-        .solve(&a, &cfg)
-        .unwrap();
-    assert_eq!(bits(&legacy.values), bits(&modern.values));
-    assert_eq!(service.stats().cache.misses, 1);
-}
-
-#[test]
 fn oocore_fallback_streams_oversized_requests_bit_identically() {
     // A device shrunk to 32 KiB rejects a 96x96 f32 plan as
     // over-capacity (the probe marks it oocore-eligible). Without the
@@ -685,4 +657,53 @@ fn oocore_fallback_leaves_fitting_requests_on_the_cached_path() {
     let stats = service.stats().cache;
     assert_eq!((stats.hits, stats.misses), (1, 1));
     assert_eq!(stats.resident_plans, 1);
+}
+
+#[test]
+fn every_entry_point_heals_the_same_seeded_faults() {
+    // Differential: one seeded corruption schedule, absorbed by one
+    // retry + verify policy, must yield fault-free bits and no counted
+    // failure through solve, solve_batch and submit alike — no entry
+    // point may skip a healing step the others take.
+    use unisvd_gpu::FaultPlan;
+    let cfg = SvdConfig::default();
+    let mats: Vec<Matrix<f32>> = (0..16).map(|i| random_square(24, 900 + i)).collect();
+    let clean = SvdService::new(&h100());
+    let oracle: Vec<Vec<u64>> = mats
+        .iter()
+        .map(|a| bits(&clean.solve(a, &cfg).unwrap().values))
+        .collect();
+    let faulty = h100().with_faults(FaultPlan::seeded(1).corrupt_rate(0.25));
+    // The schedule must actually hit the batch path (batch workers run
+    // fault-free, so only a group's leader is exposed); otherwise this
+    // test would prove nothing about batch healing.
+    let bare = SvdService::new(&faulty).solve_batch(&mats, &cfg);
+    assert!(bare.iter().any(|r| r.is_err()), "schedule injects no fault");
+    let healing = || {
+        SvdService::builder(&faulty)
+            .retry(8)
+            .verify_outputs(true)
+            .build()
+    };
+    let solve = healing();
+    let via_solve: Vec<_> = mats.iter().map(|a| solve.solve(a, &cfg)).collect();
+    let batch = healing();
+    let via_batch = batch.solve_batch(&mats, &cfg);
+    let submit = healing();
+    let tickets: Vec<_> = mats
+        .iter()
+        .map(|a| submit.submit(a.clone(), &cfg).expect("admitted"))
+        .collect();
+    let via_submit: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    for (path, service, results) in [
+        ("solve", &solve, via_solve),
+        ("solve_batch", &batch, via_batch),
+        ("submit", &submit, via_submit),
+    ] {
+        for (i, r) in results.into_iter().enumerate() {
+            let out = r.unwrap_or_else(|e| panic!("{path} request {i} failed: {e}"));
+            assert_eq!(bits(&out.values), oracle[i], "{path} request {i} bits");
+        }
+        assert_eq!(service.stats().cache.failures, 0, "{path} failures");
+    }
 }
