@@ -277,6 +277,34 @@ impl PlanCore {
         self.padded
     }
 
+    /// Runs this plan's launch stream on the trace-only device `dev`
+    /// without any data, accumulating its cost into `dev`'s trace. An
+    /// empty shape launches nothing.
+    pub(crate) fn replay_trace<T: Scalar>(
+        &self,
+        dev: &Device,
+        driver: DriverCost,
+    ) -> Result<(), SvdError> {
+        if self.kind == PlanKind::Empty {
+            return Ok(());
+        }
+        let buf = dev.alloc::<T>(0);
+        let tau = dev.alloc::<T>(0);
+        let mut pipe = PipelineScratch::for_trace(self.padded, self.cfg.vectors, self.mindim);
+        let mut values = Vec::new();
+        run_pipeline::<T>(
+            dev,
+            &buf,
+            &tau,
+            self.padded,
+            &self.params,
+            &self.cfg,
+            driver,
+            &mut pipe,
+            &mut values,
+        )
+    }
+
     /// Host workspace sized for this plan on a device of `mode`
     /// (trace-only devices carry no data, so no staging is needed).
     pub(crate) fn host_workspace<T: Scalar>(&self, mode: ExecMode) -> Workspace<T> {
@@ -961,28 +989,8 @@ impl<T: Scalar> SvdPlan<T> {
     /// planned workloads — and unlike it, works from numeric plans too.
     pub fn cost(&self) -> TraceSummary {
         let dev = Device::trace_only(self.dev.hw().clone());
-        if self.core.kind != PlanKind::Empty {
-            let buf = dev.alloc::<T>(0);
-            let tau = dev.alloc::<T>(0);
-            let mut pipe = PipelineScratch::for_trace(
-                self.core.padded,
-                self.core.cfg.vectors,
-                self.core.mindim,
-            );
-            let mut values = Vec::new();
-            let r = run_pipeline::<T>(
-                &dev,
-                &buf,
-                &tau,
-                self.core.padded,
-                &self.core.params,
-                &self.core.cfg,
-                DriverCost::Amortized,
-                &mut pipe,
-                &mut values,
-            );
-            debug_assert!(r.is_ok(), "trace-only pipeline cannot fail");
-        }
+        let r = self.core.replay_trace::<T>(&dev, DriverCost::Amortized);
+        debug_assert!(r.is_ok(), "trace-only pipeline cannot fail");
         dev.summary()
     }
 }
@@ -1252,7 +1260,7 @@ fn assemble_vectors<T: Scalar>(
 /// produced values overwrite `values` — both reused across solves by the
 /// plan path, freshly built per call by the one-shot wrappers.
 #[allow(clippy::too_many_arguments)] // internal seam shared by plan + one-shot paths
-pub(crate) fn run_pipeline<T: Scalar>(
+fn run_pipeline<T: Scalar>(
     dev: &Device,
     buf: &GlobalBuffer<T>,
     tau: &GlobalBuffer<T>,

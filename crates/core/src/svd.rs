@@ -7,9 +7,7 @@
 //! band→bidiagonal bulge chasing, stage 3 bidiagonal→values on the CPU.
 
 use crate::bidiag_svd::NoConvergence;
-use crate::plan::{
-    execute_core, run_pipeline, DriverCost, PipelineScratch, PlanCore, PlanError, Svd,
-};
+use crate::plan::{execute_core, DriverCost, PlanCore, PlanError, Svd};
 use unisvd_gpu::{
     Device, DeviceFault, ExecMode, HardwareDescriptor, TraceSummary, UnsupportedPrecision,
 };
@@ -432,25 +430,7 @@ pub fn svdvals_cost<T: Scalar>(
         ExecMode::TraceOnly,
         "use svdvals_with on numeric devices"
     );
-    dev.supports(T::KIND)?;
-    let p = resolve_params::<T>(dev, cfg, n);
-    let ts = p.tilesize;
-    let padded = n.div_ceil(ts) * ts;
-    let buf = dev.alloc::<T>(0);
-    let tau = dev.alloc::<T>(0);
-    let mut pipe = PipelineScratch::for_trace(padded, cfg.vectors, n);
-    let mut values = Vec::new();
-    run_pipeline::<T>(
-        dev,
-        &buf,
-        &tau,
-        padded,
-        &p,
-        cfg,
-        DriverCost::OneShot,
-        &mut pipe,
-        &mut values,
-    )?;
+    PlanCore::new::<T>(dev, cfg, n, n)?.replay_trace::<T>(dev, DriverCost::OneShot)?;
     Ok(dev.summary())
 }
 
@@ -805,6 +785,9 @@ mod tests {
         assert!(s.seconds_of(BandToBidiagonal) > 0.0);
         assert!(s.seconds_of(BidiagonalSvd) > 0.0);
         assert!(s.total_seconds() > 0.0);
+        // A 0×0 problem launches nothing, exactly like a 0×0 plan.
+        let empty = svdvals_cost::<f32>(0, &Device::trace_only(h100()), &SvdConfig::default());
+        assert_eq!(empty.unwrap().total_seconds(), 0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::queue::Pending;
 use crate::router::{best, Candidate, Placement, PlacementMap, RouteKey};
-use crate::service::{Knobs, ServiceError, ServiceStats, SvdService};
+use crate::service::{ServiceBuilder, ServiceError, ServiceStats, SvdService};
 use crate::ticket::{ticket_pair, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,8 +175,21 @@ impl std::fmt::Display for FleetBuildError {
 
 impl std::error::Error for FleetBuildError {}
 
-/// Accumulates a fleet's devices and shared service knobs, then
-/// [`build`](Self::build)s it. Obtained from [`SvdFleet::builder`].
+/// The build target of a [`FleetBuilder`]: the fleet's devices and its
+/// replication threshold.
+#[derive(Clone, Debug)]
+pub struct FleetDevices {
+    devices: Vec<HardwareDescriptor>,
+    replicate_after: u64,
+}
+
+/// Accumulates a fleet's devices and shared service knobs, then builds
+/// it (`build`, or `try_build` for a typed refusal). Obtained from
+/// [`SvdFleet::builder`]. The knob setters are [`ServiceBuilder`]'s own
+/// ([`shards`](ServiceBuilder::shards) through
+/// [`verify_outputs`](ServiceBuilder::verify_outputs)), each applied to
+/// every backend; this alias adds the devices and the replication
+/// threshold.
 ///
 /// ```
 /// use unisvd_gpu::hw;
@@ -187,22 +200,18 @@ impl std::error::Error for FleetBuildError {}
 ///     .device(hw::mi250())
 ///     .device(hw::m1_pro())
 ///     .replicate_after(4)
+///     .retry(2)
 ///     .build();
 /// assert_eq!(fleet.device_count(), 3);
 /// ```
-#[derive(Clone, Debug)]
-pub struct FleetBuilder {
-    devices: Vec<HardwareDescriptor>,
-    knobs: Knobs,
-    replicate_after: u64,
-}
+pub type FleetBuilder = ServiceBuilder<FleetDevices>;
 
 impl FleetBuilder {
     /// Adds one backend device. Order matters only for tie-breaking
     /// (placement prefers the lowest index on a full tie) and for which
     /// device names a [`ServiceError::NoDeviceSupports`] signature.
     pub fn device(mut self, hw: HardwareDescriptor) -> Self {
-        self.devices.push(hw);
+        self.target.devices.push(hw);
         self
     }
 
@@ -212,82 +221,7 @@ impl FleetBuilder {
     /// replication, pass a threshold larger than any realistic request
     /// count (e.g. `u64::MAX`).
     pub fn replicate_after(mut self, served: u64) -> Self {
-        self.replicate_after = served;
-        self
-    }
-
-    /// Submission-queue depth bound applied to every backend (see
-    /// [`ServiceBuilder::queue_depth`](crate::ServiceBuilder::queue_depth)).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.knobs.max_queue_depth = depth;
-        self
-    }
-
-    /// Coalescing window applied to every backend (see
-    /// [`ServiceBuilder::coalesce_window`](crate::ServiceBuilder::coalesce_window)).
-    pub fn coalesce_window(mut self, window: Duration) -> Self {
-        self.knobs.coalesce_window = window;
-        self
-    }
-
-    /// Per-batch coalescing bound applied to every backend (see
-    /// [`ServiceBuilder::max_coalesce`](crate::ServiceBuilder::max_coalesce)).
-    pub fn max_coalesce(mut self, max: usize) -> Self {
-        self.knobs.max_coalesce = max;
-        self
-    }
-
-    /// Cache shard count applied to every backend (see
-    /// [`ServiceBuilder::shards`](crate::ServiceBuilder::shards)).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.knobs.shards = shards;
-        self
-    }
-
-    /// Resident-plan bound per shard applied to every backend (see
-    /// [`ServiceBuilder::plans_per_shard`](crate::ServiceBuilder::plans_per_shard)).
-    pub fn plans_per_shard(mut self, plans: usize) -> Self {
-        self.knobs.plans_per_shard = plans;
-        self
-    }
-
-    /// Shedding headroom floor applied to every backend (see
-    /// [`ServiceBuilder::shed_headroom`](crate::ServiceBuilder::shed_headroom)).
-    pub fn shed_headroom(mut self, bytes: u64) -> Self {
-        self.knobs.shed_headroom_bytes = bytes;
-        self
-    }
-
-    /// Out-of-core fallback applied to every backend (see
-    /// [`ServiceBuilder::oocore_fallback`](crate::ServiceBuilder::oocore_fallback)).
-    /// Routing also changes: a shape every device rejects as
-    /// over-capacity — but which the out-of-core subsystem accepts — is
-    /// placed (as a never-"fits" candidate, so any in-core-capable
-    /// backend still wins) instead of failing with
-    /// [`ServiceError::NoDeviceSupports`].
-    pub fn oocore_fallback(mut self, enabled: bool) -> Self {
-        self.knobs.oocore_fallback = enabled;
-        self
-    }
-
-    /// Bounded transient-fault retries applied to every backend (see
-    /// [`ServiceBuilder::retry`](crate::ServiceBuilder::retry)).
-    pub fn retry(mut self, retries: usize) -> Self {
-        self.knobs.retries = retries;
-        self
-    }
-
-    /// Retry backoff applied to every backend (see
-    /// [`ServiceBuilder::retry_backoff`](crate::ServiceBuilder::retry_backoff)).
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.knobs.retry_backoff = backoff;
-        self
-    }
-
-    /// Output verification applied to every backend (see
-    /// [`ServiceBuilder::verify_outputs`](crate::ServiceBuilder::verify_outputs)).
-    pub fn verify_outputs(mut self, enabled: bool) -> Self {
-        self.knobs.verify_outputs = enabled;
+        self.target.replicate_after = served;
         self
     }
 
@@ -295,31 +229,27 @@ impl FleetBuilder {
     /// that cannot serve: no devices, more than 64, or a zero
     /// replication threshold.
     pub fn try_build(self) -> Result<SvdFleet, FleetBuildError> {
-        if self.devices.is_empty() {
+        let devices = &self.target.devices;
+        if devices.is_empty() {
             return Err(FleetBuildError::NoDevices);
         }
-        if self.devices.len() > 64 {
+        if devices.len() > 64 {
             return Err(FleetBuildError::TooManyDevices {
-                count: self.devices.len(),
+                count: devices.len(),
             });
         }
-        if self.replicate_after == 0 {
+        if self.target.replicate_after == 0 {
             return Err(FleetBuildError::ZeroReplicateAfter);
         }
         Ok(SvdFleet {
-            backends: self
-                .devices
+            backends: devices
                 .iter()
                 .map(|hw| SvdService::from_knobs(hw, self.knobs))
                 .collect(),
-            dead: self
-                .devices
-                .iter()
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            breakers: self.devices.iter().map(|_| Breaker::new()).collect(),
+            dead: devices.iter().map(|_| AtomicBool::new(false)).collect(),
+            breakers: devices.iter().map(|_| Breaker::new()).collect(),
             router: Mutex::new(PlacementMap::new()),
-            replicate_after: self.replicate_after,
+            replicate_after: self.target.replicate_after,
         })
     }
 
@@ -417,13 +347,12 @@ pub struct SvdFleet {
 
 impl SvdFleet {
     /// Starts assembling a fleet; add devices with
-    /// [`FleetBuilder::device`] and finish with [`FleetBuilder::build`].
+    /// [`FleetBuilder::device`] and finish with its `build`.
     pub fn builder() -> FleetBuilder {
-        FleetBuilder {
+        ServiceBuilder::new(FleetDevices {
             devices: Vec::new(),
-            knobs: Knobs::default(),
             replicate_after: DEFAULT_REPLICATE_AFTER,
-        }
+        })
     }
 
     /// A fleet over `devices` with every knob at its default.
@@ -755,21 +684,13 @@ impl SvdFleet {
             config: *cfg,
             trace_only,
         };
-        // Dead, already-tried, and breaker-refused backends are equally
-        // unusable; the breaker's `admit` doubles as the state pump
-        // (trips on a fault streak, goes half-open after enough skips).
-        let usable = |i: usize| {
-            !self.dead[i].load(Ordering::SeqCst)
-                && exclude & (1 << i) == 0
-                && self.breakers[i].admit(self.backends[i].fault_streak())
-        };
         let mut warm_replica: Option<usize> = None;
         let decision = {
             let mut map = self.router.lock();
             let routed = match map.get_mut(&key) {
                 Some(pl) => {
-                    let primary_ok = usable(pl.primary);
-                    let replica_ok = pl.replica.is_some_and(&usable);
+                    let primary_ok = self.usable(pl.primary, exclude);
+                    let replica_ok = pl.replica.is_some_and(|r| self.usable(r, exclude));
                     if primary_ok || replica_ok {
                         if !primary_ok {
                             pl.primary = pl.replica.take().expect("replica_ok implies a replica");
@@ -779,10 +700,7 @@ impl SvdFleet {
                         pl.served += 1;
                         // Hot: replicate to a second home so the load
                         // (and the fault exposure) splits.
-                        if pl.replica.is_none()
-                            && self.replicate_after > 0
-                            && pl.served >= self.replicate_after
-                        {
+                        if pl.replica.is_none() && pl.served >= self.replicate_after {
                             if let Some(r) = self.pick::<T>(
                                 rows,
                                 cols,
@@ -838,6 +756,16 @@ impl SvdFleet {
         decision
     }
 
+    /// Whether backend `i` may take a placement: dead, already-tried
+    /// (`exclude`) and breaker-refused backends are equally unusable.
+    /// `admit` doubles as the breaker's state pump (trips on a fault
+    /// streak, goes half-open after enough skips), so it runs last.
+    fn usable(&self, i: usize, exclude: u64) -> bool {
+        !self.dead[i].load(Ordering::SeqCst)
+            && exclude & (1 << i) == 0
+            && self.breakers[i].admit(self.backends[i].fault_streak())
+    }
+
     /// Scores every usable backend for a fresh placement (see the
     /// [router](crate::router) policy) and returns the best, or `None`
     /// when no backend passes the support/capacity probe.
@@ -851,10 +779,7 @@ impl SvdFleet {
     ) -> Option<usize> {
         let mut candidates = Vec::with_capacity(self.backends.len());
         for (i, svc) in self.backends.iter().enumerate() {
-            if self.dead[i].load(Ordering::SeqCst)
-                || exclude & (1 << i) != 0
-                || !self.breakers[i].admit(svc.fault_streak())
-            {
+            if !self.usable(i, exclude) {
                 continue;
             }
             let mut probe = Svd::on(svc.hw()).precision::<T>().config(*cfg);
@@ -871,7 +796,7 @@ impl SvdFleet {
                 Err(PlanError::ExceedsDeviceMemory {
                     oocore_eligible: true,
                     ..
-                }) if svc.oocore_fallback_enabled() => None,
+                }) if svc.knobs().oocore_fallback => None,
                 Err(_) => continue,
             };
             let budget = svc.cache_budget_bytes();
@@ -939,6 +864,31 @@ mod tests {
         // build() panics with the same message, not a bare assert.
         let r = std::panic::catch_unwind(|| SvdFleet::builder().build());
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn shared_knobs_reach_every_backend() {
+        // Every shared setter at a non-default value, applied through the
+        // one generic builder to a fleet and to a lone service alike.
+        fn tuned<D>(b: ServiceBuilder<D>) -> ServiceBuilder<D> {
+            b.shards(3)
+                .plans_per_shard(5)
+                .queue_depth(7)
+                .coalesce_window(Duration::from_micros(11))
+                .max_coalesce(13)
+                .shed_headroom(17)
+                .oocore_fallback(true)
+                .retry(2)
+                .verify_outputs(true)
+        }
+        let fleet = tuned(SvdFleet::builder())
+            .device(hw::h100())
+            .device(hw::m1_pro())
+            .build();
+        for i in 0..fleet.device_count() {
+            let service = tuned(SvdService::builder(fleet.backend(i).hw()));
+            assert_eq!(*fleet.backend(i).knobs(), service.knobs, "backend {i}");
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ mod service;
 mod ticket;
 
 pub use fleet::{
-    DeviceHealth, DeviceStats, FailoverReport, FleetBuildError, FleetBuilder, FleetStats, SvdFleet,
+    DeviceHealth, DeviceStats, FailoverReport, FleetBuildError, FleetBuilder, FleetDevices,
+    FleetStats, SvdFleet,
 };
 pub use service::{CacheStats, QueueStats, ServiceBuilder, ServiceError, ServiceStats, SvdService};
 pub use ticket::Ticket;

@@ -15,7 +15,7 @@ use unisvd_scalar::{PrecisionKind, Scalar, F16};
 
 /// The service's internal tuning knobs — the values [`ServiceBuilder`]
 /// accumulates.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Knobs {
     /// Independently locked cache shards (`0` clamps to 1).
     pub shards: usize,
@@ -36,8 +36,6 @@ pub(crate) struct Knobs {
     pub oocore_fallback: bool,
     /// Bounded retries for transient device faults (`0` disables).
     pub retries: usize,
-    /// Base sleep before retry attempt k (doubled each attempt).
-    pub retry_backoff: Duration,
     /// Run `SvdOutput::verify` on every solve; a failing check is
     /// treated as transient corruption (retried, then surfaced).
     pub verify_outputs: bool,
@@ -55,16 +53,16 @@ impl Default for Knobs {
             shed_headroom_bytes: 0,
             oocore_fallback: false,
             retries: 0,
-            retry_backoff: Duration::ZERO,
             verify_outputs: false,
         }
     }
 }
 
-/// Accumulates an [`SvdService`]'s tuning knobs, then
-/// [`build`](Self::build)s it. Obtained from [`SvdService::builder`];
-/// every knob has a default, so `SvdService::builder(&hw).build()` ≡
-/// `SvdService::new(&hw)`.
+/// Accumulates serving knobs, then builds what they configure: an
+/// [`SvdService`] (from [`SvdService::builder`]) or, as
+/// [`FleetBuilder`](crate::FleetBuilder), a fleet whose backends all
+/// share them. Every knob has a default, so
+/// `SvdService::builder(&hw).build()` ≡ `SvdService::new(&hw)`.
 ///
 /// ```
 /// use std::time::Duration;
@@ -83,12 +81,20 @@ impl Default for Knobs {
 /// assert_eq!(service.cache_budget_bytes(), 64 << 20);
 /// ```
 #[derive(Clone, Debug)]
-pub struct ServiceBuilder {
-    hw: HardwareDescriptor,
-    knobs: Knobs,
+pub struct ServiceBuilder<D = HardwareDescriptor> {
+    pub(crate) knobs: Knobs,
+    pub(crate) target: D,
 }
 
-impl ServiceBuilder {
+impl<D> ServiceBuilder<D> {
+    /// A builder for `target` with every knob at its default.
+    pub(crate) fn new(target: D) -> Self {
+        ServiceBuilder {
+            knobs: Knobs::default(),
+            target,
+        }
+    }
+
     /// Number of independently locked cache shards (`0` is clamped to
     /// 1). More shards mean less lock contention between unrelated
     /// signatures; the default (8) is ample for the lock hold times
@@ -103,15 +109,6 @@ impl ServiceBuilder {
     /// throughput bench measures against). Default 32.
     pub fn plans_per_shard(mut self, plans: usize) -> Self {
         self.knobs.plans_per_shard = plans;
-        self
-    }
-
-    /// Device-memory budget for all resident plans, in bytes. When not
-    /// set, the device's full budget applies (memory net of the 25%
-    /// workspace headroom — the same rule behind
-    /// `PlanError::ExceedsDeviceMemory`).
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.knobs.max_cache_bytes = Some(bytes);
         self
     }
 
@@ -159,6 +156,12 @@ impl ServiceBuilder {
     /// device large enough to hold the operand. Off by default: the
     /// streaming path trades extra transfer cost for feasibility, which
     /// a latency-sensitive deployment may prefer to refuse outright.
+    ///
+    /// On a fleet, routing also changes: a shape every device rejects
+    /// as over-capacity — but which the out-of-core subsystem accepts —
+    /// is placed (as a never-"fits" candidate, so any in-core-capable
+    /// backend still wins) instead of failing with
+    /// [`ServiceError::NoDeviceSupports`].
     pub fn oocore_fallback(mut self, enabled: bool) -> Self {
         self.knobs.oocore_fallback = enabled;
         self
@@ -166,24 +169,16 @@ impl ServiceBuilder {
 
     /// Bounded retries for *transient* faults
     /// ([`SvdError::is_transient`]): a solve that fails with a
-    /// recoverable device fault is re-attempted up to `retries` more
-    /// times, each attempt checking its plan out of the cache afresh.
-    /// Terminal faults (device death) and non-fault errors are never
-    /// retried. `0` (the default) disables retry — and keeps the warm
-    /// fault-free path allocation-free and byte-identical to previous
-    /// releases.
+    /// recoverable device fault is re-attempted immediately, up to
+    /// `retries` more times, each attempt checking its plan out of the
+    /// cache afresh. Faults in the simulated runtime are
+    /// schedule-driven, not congestion-driven, so waiting between
+    /// attempts would buy nothing. Terminal faults (device death) and
+    /// non-fault errors are never retried. `0` (the default) disables
+    /// retry — and keeps the warm fault-free path allocation-free and
+    /// byte-identical to previous releases.
     pub fn retry(mut self, retries: usize) -> Self {
         self.knobs.retries = retries;
-        self
-    }
-
-    /// Base backoff slept before retry attempt `k` (doubled each
-    /// attempt: `backoff`, `2*backoff`, `4*backoff`, ...).
-    /// `Duration::ZERO` (the default) retries immediately, which is the
-    /// right choice for the simulated runtime where faults are
-    /// schedule-driven, not congestion-driven.
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.knobs.retry_backoff = backoff;
         self
     }
 
@@ -198,10 +193,23 @@ impl ServiceBuilder {
         self.knobs.verify_outputs = enabled;
         self
     }
+}
+
+// Service-only: one byte budget means nothing across a fleet's
+// heterogeneous devices.
+impl ServiceBuilder {
+    /// Device-memory budget for all resident plans, in bytes. When not
+    /// set, the device's full budget applies (memory net of the 25%
+    /// workspace headroom — the same rule behind
+    /// `PlanError::ExceedsDeviceMemory`).
+    pub fn memory_budget(mut self, bytes: u64) -> Self {
+        self.knobs.max_cache_bytes = Some(bytes);
+        self
+    }
 
     /// The configured service.
     pub fn build(self) -> SvdService {
-        SvdService::from_knobs(&self.hw, self.knobs)
+        SvdService::from_knobs(&self.target, self.knobs)
     }
 }
 
@@ -499,14 +507,11 @@ impl SvdService {
         Self::builder(hw).build()
     }
 
-    /// Starts configuring a service for device `hw`; finish with
-    /// [`ServiceBuilder::build`]. Every knob defaults to the value
+    /// Starts configuring a service for device `hw`; finish with the
+    /// [`ServiceBuilder`]'s `build`. Every knob defaults to the value
     /// [`new`](Self::new) uses.
     pub fn builder(hw: &HardwareDescriptor) -> ServiceBuilder {
-        ServiceBuilder {
-            hw: hw.clone(),
-            knobs: Knobs::default(),
-        }
+        ServiceBuilder::new(hw.clone())
     }
 
     pub(crate) fn from_knobs(hw: &HardwareDescriptor, knobs: Knobs) -> Self {
@@ -542,10 +547,10 @@ impl SvdService {
         &self.inner.hw
     }
 
-    /// Whether this service absorbs oocore-eligible over-capacity
-    /// rejections through the streaming path (fleet routing input).
-    pub(crate) fn oocore_fallback_enabled(&self) -> bool {
-        self.inner.knobs.oocore_fallback
+    /// The knobs this service was built with (fleet routing reads the
+    /// out-of-core fallback switch).
+    pub(crate) fn knobs(&self) -> &Knobs {
+        &self.inner.knobs
     }
 
     /// The signature under which a request for this shape/precision/
@@ -626,18 +631,7 @@ impl SvdService {
     /// signature is resident. On `Err` nothing was enqueued (the matrix
     /// is dropped); solve-time errors arrive through the ticket instead.
     pub fn submit<T: Scalar>(&self, a: Matrix<T>, cfg: &SvdConfig) -> Result<Ticket, ServiceError> {
-        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
-        let (ticket, resolver) = ticket_pair();
-        let pending = Pending {
-            sig,
-            mat: Box::new(a),
-            resolver,
-            deadline: None,
-        };
-        match self.submit_pending(pending) {
-            Ok(()) => Ok(ticket),
-            Err((_, e)) => Err(e),
-        }
+        self.submit_at(a, cfg, None)
     }
 
     /// [`submit`](Self::submit) with a submit-time deadline: if the
@@ -664,18 +658,26 @@ impl SvdService {
                 waited: Duration::ZERO,
             });
         }
-        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
+        self.submit_at(a, cfg, Some(Instant::now() + deadline))
+    }
+
+    /// Assembles the queue entry for one submission (expiring at
+    /// `deadline`, if any) and runs it through admission.
+    fn submit_at<T: Scalar>(
+        &self,
+        a: Matrix<T>,
+        cfg: &SvdConfig,
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, ServiceError> {
         let (ticket, resolver) = ticket_pair();
         let pending = Pending {
-            sig,
+            sig: self.signature::<T>(a.rows(), a.cols(), cfg),
             mat: Box::new(a),
             resolver,
-            deadline: Some(Instant::now() + deadline),
+            deadline,
         };
-        match self.submit_pending(pending) {
-            Ok(()) => Ok(ticket),
-            Err((_, e)) => Err(e),
-        }
+        self.submit_pending(pending).map_err(|(_, e)| e)?;
+        Ok(ticket)
     }
 
     /// [`submit`](Self::submit)'s admission core, over an assembled
@@ -1042,15 +1044,6 @@ impl Inner {
         Ok(())
     }
 
-    /// Sleeps the configured backoff before retry attempt `attempt`
-    /// (1-based), doubling per attempt. Zero backoff sleeps nothing.
-    fn backoff(&self, attempt: usize) {
-        let base = self.knobs.retry_backoff;
-        if !base.is_zero() {
-            std::thread::sleep(base * (1u32 << (attempt - 1).min(16)));
-        }
-    }
-
     /// Feeds one final solve outcome into the fault streak (the fleet
     /// circuit breaker's trip signal): device faults raise it, fault-free
     /// solves clear it, other errors are neutral.
@@ -1185,7 +1178,6 @@ impl Inner {
             while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
             {
                 attempt += 1;
-                self.backoff(attempt);
                 // A group of one: a retried request checks its plan out
                 // afresh, indistinguishable from a fresh solve.
                 self.attempt_group(
