@@ -136,13 +136,11 @@ pub struct PlanSignature {
     /// The full solve configuration (solver, fusion, rescaling, and any
     /// explicit hyperparameter override).
     pub config: SvdConfig,
-    /// Whether the plan is trace-only (cost accounting without data).
-    pub trace_only: bool,
 }
 
 impl PlanSignature {
     /// The signature this request would carry on a *different* device:
-    /// identical shape, precision, configuration, and trace mode, but
+    /// identical shape, precision and configuration, but
     /// keyed to `hw`. This is the re-routing primitive of fleet serving —
     /// a signature resident on a failed device is retargeted to a
     /// survivor before re-planning there.
@@ -157,13 +155,8 @@ impl std::fmt::Display for PlanSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}x{} {} on {}{} [{}]",
-            self.rows,
-            self.cols,
-            self.precision,
-            self.device,
-            if self.trace_only { " (trace)" } else { "" },
-            self.config
+            "{}x{} {} on {} [{}]",
+            self.rows, self.cols, self.precision, self.device, self.config
         )
     }
 }
@@ -176,10 +169,10 @@ pub struct PlanProbe {
     /// shapes).
     pub padded: usize,
     /// Device bytes a built plan would pin (its `device_bytes()` before
-    /// any batch workers; 0 for trace-only or empty plans).
+    /// any batch workers; 0 for empty plans).
     pub device_bytes: u64,
     /// Whether the out-of-core subsystem (`unisvd_oocore`) accepts this
-    /// request: true for every nonempty numeric shape, whether or not it
+    /// request: true for every nonempty values-only shape, whether or not it
     /// also fits in one upload. Rejected probes surface the same hint on
     /// [`PlanError::ExceedsDeviceMemory`].
     pub oocore_eligible: bool,
@@ -212,9 +205,9 @@ enum PlanKind {
     Empty,
     /// Square-ish: zero-pad to the next tile multiple of `max(m, n)`.
     Direct,
-    /// Tall (`m ≥ 2n`, numeric): host QR first, device solves `R` (n×n).
+    /// Tall (`m ≥ 2n`): host QR first, device solves `R` (n×n).
     TallQr,
-    /// Wide (`n ≥ 2m`, numeric): transpose, then the tall path (m×m).
+    /// Wide (`n ≥ 2m`): transpose, then the tall path (m×m).
     WideQr,
 }
 
@@ -244,14 +237,13 @@ impl PlanCore {
     ) -> Result<Self, UnsupportedPrecision> {
         dev.supports(T::KIND)?;
         let mindim = rows.min(cols);
-        let numeric = dev.mode() == ExecMode::Numeric;
         let (kind, device_n) = if mindim == 0 {
             (PlanKind::Empty, 0)
-        } else if numeric && rows >= 2 * cols {
+        } else if rows >= 2 * cols {
             // Tall-and-skinny fast path (§5): σ(A) = σ(R) with R only
             // n × n, so the device pipeline runs on an n × n problem.
             (PlanKind::TallQr, cols)
-        } else if numeric && cols >= 2 * rows {
+        } else if cols >= 2 * rows {
             (PlanKind::WideQr, rows)
         } else {
             (PlanKind::Direct, rows.max(cols))
@@ -305,18 +297,8 @@ impl PlanCore {
         )
     }
 
-    /// Host workspace sized for this plan on a device of `mode`
-    /// (trace-only devices carry no data, so no staging is needed).
-    pub(crate) fn host_workspace<T: Scalar>(&self, mode: ExecMode) -> Workspace<T> {
-        if mode != ExecMode::Numeric {
-            return Workspace {
-                staging: Vec::new(),
-                qr: Vec::new(),
-                qr_tau: Vec::new(),
-                qvec: Vec::new(),
-                pipe: PipelineScratch::for_trace(self.padded, self.cfg.vectors, self.mindim),
-            };
-        }
+    /// Host workspace sized for one numeric solve of this plan.
+    pub(crate) fn host_workspace<T: Scalar>(&self) -> Workspace<T> {
         let qr_len = match self.kind {
             PlanKind::TallQr | PlanKind::WideQr => self.rows * self.cols,
             PlanKind::Empty | PlanKind::Direct => 0,
@@ -355,8 +337,8 @@ pub(crate) struct PipelineScratch<A: Real> {
     s3: Stage3Workspace<A>,
     /// Singular-vector workspace (`Some` iff the configuration requests
     /// vectors and the planned shape is nonempty): transform logs,
-    /// selection scratch and the `padded × k` accumulators. Trace-only
-    /// plans keep an empty-buffered scratch whose `k` still drives the
+    /// selection scratch and the `padded × k` accumulators. Trace replays
+    /// keep an empty-buffered scratch whose `k` still drives the
     /// accumulation cost models, so `cost()` replays match numeric runs.
     vac: Option<VectorScratch<A>>,
 }
@@ -445,7 +427,6 @@ impl<T: Scalar> Workspace<T> {
 pub struct Svd<T: Scalar = f64> {
     hw: HardwareDescriptor,
     cfg: SvdConfig,
-    mode: ExecMode,
     _precision: PhantomData<fn() -> T>,
 }
 
@@ -456,7 +437,6 @@ impl Svd<f64> {
         Svd {
             hw: hw.clone(),
             cfg: SvdConfig::default(),
-            mode: ExecMode::Numeric,
             _precision: PhantomData,
         }
     }
@@ -468,7 +448,6 @@ impl<T: Scalar> Svd<T> {
         Svd {
             hw: self.hw,
             cfg: self.cfg,
-            mode: self.mode,
             _precision: PhantomData,
         }
     }
@@ -513,13 +492,6 @@ impl<T: Scalar> Svd<T> {
         self
     }
 
-    /// Plans against a trace-only device: executes account simulated cost
-    /// without data (paper-scale size sweeps).
-    pub fn trace_only(mut self) -> Self {
-        self.mode = ExecMode::TraceOnly;
-        self
-    }
-
     /// The signature a plan built from this builder for `rows × cols`
     /// inputs would carry — computable without paying for planning, so
     /// caches can key their lookup before deciding to build.
@@ -531,7 +503,6 @@ impl<T: Scalar> Svd<T> {
             rows,
             cols,
             config: self.cfg,
-            trace_only: self.mode == ExecMode::TraceOnly,
         }
     }
 
@@ -563,56 +534,53 @@ impl<T: Scalar> Svd<T> {
     /// # Ok::<(), PlanError>(())
     /// ```
     pub fn probe(&self, rows: usize, cols: usize) -> Result<PlanProbe, PlanError> {
-        let dev = Device::new(self.hw.clone(), self.mode);
+        let dev = Device::numeric(self.hw.clone());
         let core = PlanCore::new::<T>(&dev, &self.cfg, rows, cols)?;
         let bytes = Self::capacity_check(&dev, &core)?;
         Ok(PlanProbe {
             padded: core.padded,
             device_bytes: bytes,
-            oocore_eligible: Self::oocore_eligible(&dev, &core),
+            oocore_eligible: Self::oocore_eligible(&core),
         })
     }
 
     /// Whether the out-of-core subsystem accepts this request: any
-    /// nonempty numeric *values-only* solve can be panel-streamed (or
+    /// nonempty *values-only* solve can be panel-streamed (or
     /// TSQR-reduced) regardless of the one-upload capacity rule below.
     /// Solves requesting singular vectors are not eligible — the
     /// out-of-core pipeline discards the panel factors it streams, so it
     /// has nothing to replay vectors from.
-    fn oocore_eligible(dev: &Device, core: &PlanCore) -> bool {
-        dev.mode() == ExecMode::Numeric && core.padded > 0 && core.cfg.vectors == Want::None
+    fn oocore_eligible(core: &PlanCore) -> bool {
+        core.padded > 0 && core.cfg.vectors == Want::None
     }
 
-    /// The device-capacity admission rule shared by [`plan`](Svd::plan)
-    /// and [`probe`](Svd::probe); returns the device bytes a built plan
-    /// would pin (its `device_bytes()` before any batch workers).
-    fn capacity_check(dev: &Device, core: &PlanCore) -> Result<u64, PlanError> {
+    /// The device-capacity admission rule shared by [`plan`](Svd::plan),
+    /// [`probe`](Svd::probe) and the one-shot
+    /// [`svdvals_with`](crate::svdvals_with); returns the device bytes a
+    /// built plan would pin (its `device_bytes()` before any batch
+    /// workers).
+    pub(crate) fn capacity_check(dev: &Device, core: &PlanCore) -> Result<u64, PlanError> {
         // Everything the plan will hold on the device: the padded
         // matrix plus the τ-factor vector. Matching device_bytes()
         // exactly means a plan that passes this check can always be
         // admitted by an empty budget_bytes()-sized cache ledger.
         let bytes = ((core.padded as u64).pow(2) + core.padded as u64) * T::KIND.bytes() as u64;
-        if dev.mode() == ExecMode::Numeric && core.padded > 0 && !dev.hw().fits(bytes) {
+        if core.padded > 0 && !dev.hw().fits(bytes) {
             return Err(PlanError::ExceedsDeviceMemory {
                 device: dev.hw().name,
                 padded: core.padded,
                 bytes,
-                oocore_eligible: Self::oocore_eligible(dev, core),
+                oocore_eligible: Self::oocore_eligible(core),
             });
         }
-        // Trace-only plans allocate no data: nothing to pin.
-        if dev.mode() == ExecMode::Numeric {
-            Ok(bytes)
-        } else {
-            Ok(0)
-        }
+        Ok(bytes)
     }
 
     /// Performs all one-time work — support-matrix check, hyperparameter
     /// resolution, tile padding, capacity check, workspace allocation —
     /// and returns the reusable plan for `rows × cols` inputs.
     pub fn plan(self, rows: usize, cols: usize) -> Result<SvdPlan<T>, PlanError> {
-        let dev = Device::new(self.hw.clone(), self.mode);
+        let dev = Device::numeric(self.hw.clone());
         let core = PlanCore::new::<T>(&dev, &self.cfg, rows, cols)?;
         Self::capacity_check(&dev, &core)?;
         Ok(SvdPlan::from_parts(dev, core))
@@ -660,7 +628,7 @@ impl<T: Scalar> SvdPlan<T> {
     fn from_parts(dev: Device, core: PlanCore) -> Self {
         let buf = dev.alloc::<T>(core.padded * core.padded);
         let tau = dev.alloc::<T>(core.padded);
-        let ws = core.host_workspace::<T>(dev.mode());
+        let ws = core.host_workspace::<T>();
         SvdPlan {
             dev,
             core,
@@ -711,13 +679,11 @@ impl<T: Scalar> SvdPlan<T> {
             rows: self.core.rows,
             cols: self.core.cols,
             config: self.core.cfg,
-            trace_only: self.dev.mode() == ExecMode::TraceOnly,
         }
     }
 
-    /// Device memory this plan's buffers pin while it is alive, in bytes
-    /// (0 for trace-only plans, which allocate no data), including any
-    /// batch workers retained by
+    /// Device memory this plan's buffers pin while it is alive, in bytes,
+    /// including any batch workers retained by
     /// [`execute_batch_refs_into`](SvdPlan::execute_batch_refs_into).
     /// Serving layers charge this against a
     /// [`MemoryLedger`](unisvd_gpu::MemoryLedger) so a cache full of
@@ -811,26 +777,17 @@ impl<T: Scalar> SvdPlan<T> {
         )
     }
 
-    /// Runs one solve accounting the **full one-shot host driver
-    /// overhead** instead of the amortized dispatch share — the
+    /// Runs one solve into `out` accounting the **full one-shot host
+    /// driver overhead** instead of the amortized dispatch share — the
     /// first-use path of a serving layer, where validation and workspace
     /// allocation genuinely happened on this request (a cache miss just
-    /// paid for planning). The produced *values* are bit-identical to
-    /// [`execute`](SvdPlan::execute); only the summary's host-overhead
-    /// attribution differs.
+    /// paid for planning). The cache-miss twin of
+    /// [`execute_into`](SvdPlan::execute_into): the produced *values* are
+    /// bit-identical; only the summary's host-overhead attribution
+    /// differs.
     ///
     /// # Errors
     /// Exactly as [`execute`](SvdPlan::execute).
-    pub fn execute_cold(&mut self, a: &Matrix<T>) -> Result<SvdOutput, SvdError> {
-        let mut out = SvdOutput::empty();
-        self.execute_cold_into(a, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`execute_cold`](SvdPlan::execute_cold) writing into an existing
-    /// [`SvdOutput`] in place — the cache-miss twin of
-    /// [`execute_into`](SvdPlan::execute_into), used by serving layers
-    /// whose output shells are caller-owned.
     pub fn execute_cold_into(
         &mut self,
         a: &Matrix<T>,
@@ -875,29 +832,25 @@ impl<T: Scalar> SvdPlan<T> {
     /// ```
     pub fn execute_batch(&self, mats: &[Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
         let refs: Vec<&Matrix<T>> = mats.iter().collect();
-        self.execute_batch_refs(&refs)
-    }
-
-    /// [`execute_batch`](SvdPlan::execute_batch) over borrowed matrices
-    /// that need not be contiguous in memory — the request-coalescing
-    /// path of serving layers, which gather same-signature requests
-    /// scattered through a queue without copying matrix data. Identical
-    /// chunking, ordering, and bit-for-bit determinism guarantees.
-    pub fn execute_batch_refs(&self, mats: &[&Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
         let mut outs: Vec<SvdOutput> = (0..mats.len()).map(|_| SvdOutput::empty()).collect();
         let mut statuses: Vec<Result<(), SvdError>> = vec![Ok(()); mats.len()];
-        self.execute_batch_refs_into(mats, &mut outs, &mut statuses);
+        self.execute_batch_refs_into(&refs, &mut outs, &mut statuses);
         outs.into_iter()
             .zip(statuses)
             .map(|(out, status)| status.map(|()| out))
             .collect()
     }
 
-    /// [`execute_batch_refs`](SvdPlan::execute_batch_refs) writing into
-    /// caller-owned output shells — the zero-allocation steady state of
-    /// the batch path. `outs[i]` / `statuses[i]` receive the result of
-    /// `mats[i]`; a failed solve leaves its `Err` in `statuses[i]`
-    /// without disturbing any other request (per-request isolation).
+    /// [`execute_batch`](SvdPlan::execute_batch) over borrowed matrices
+    /// that need not be contiguous in memory — the request-coalescing
+    /// path of serving layers, which gather same-signature requests
+    /// scattered through a queue without copying matrix data — writing
+    /// into caller-owned output shells: the zero-allocation steady state
+    /// of the batch path, with identical chunking, ordering, and
+    /// bit-for-bit determinism guarantees. `outs[i]` / `statuses[i]`
+    /// receive the result of `mats[i]`; a failed solve leaves its `Err`
+    /// in `statuses[i]` without disturbing any other request
+    /// (per-request isolation).
     /// Worker plans are leased from a pool retained on `self`, so once
     /// the pool and the output shells have warmed up (one batch of equal
     /// or larger size), repeated calls perform no heap allocation
@@ -939,7 +892,7 @@ impl<T: Scalar> SvdPlan<T> {
             .checked_div(self.own_device_bytes())
         {
             Some(slots) => slots.saturating_sub(1).max(1).min(usize::MAX as u64) as usize,
-            None => usize::MAX, // trace-only: workers hold no data
+            None => usize::MAX, // empty plan: workers hold no data
         };
         let nc = len.min(64).min(mem_cap);
         let mut pool = self.lock_batch();
@@ -980,13 +933,13 @@ impl<T: Scalar> SvdPlan<T> {
         // stream (and each retry attempt advances its counters).
         let mut hw = self.dev.hw().clone();
         hw.fault = None;
-        SvdPlan::from_parts(Device::new(hw, self.dev.mode()), self.core.clone())
+        SvdPlan::from_parts(Device::numeric(hw), self.core.clone())
     }
 
     /// Simulated per-execute cost of this plan: replays the identical
-    /// launch stream on a fresh trace-only device and returns the
-    /// per-stage summary. Subsumes the cost-only free function for
-    /// planned workloads — and unlike it, works from numeric plans too.
+    /// launch stream on a fresh trace-only device, without any data, and
+    /// returns the per-stage summary. Subsumes the cost-only free function
+    /// for planned workloads.
     pub fn cost(&self) -> TraceSummary {
         let dev = Device::trace_only(self.dev.hw().clone());
         let r = self.core.replay_trace::<T>(&dev, DriverCost::Amortized);
@@ -1071,53 +1024,51 @@ pub(crate) fn execute_core<T: Scalar>(
         1.0
     };
 
-    if dev.mode() == ExecMode::Numeric {
-        let padded = core.padded;
-        // No per-solve re-zero of the staging buffer: it starts zeroed
-        // and every execute writes exactly the same index set (the m×n
-        // block below, or R's upper triangle), so the un-written padding
-        // region is invariantly zero across reuses.
-        match core.kind {
-            PlanKind::Direct => {
-                for j in 0..core.cols {
-                    for i in 0..core.rows {
-                        ws.staging[j * padded + i] = T::from_f64(a[(i, j)].to_f64() / scale);
-                    }
+    let padded = core.padded;
+    // No per-solve re-zero of the staging buffer: it starts zeroed
+    // and every execute writes exactly the same index set (the m×n
+    // block below, or R's upper triangle), so the un-written padding
+    // region is invariantly zero across reuses.
+    match core.kind {
+        PlanKind::Direct => {
+            for j in 0..core.cols {
+                for i in 0..core.rows {
+                    ws.staging[j * padded + i] = T::from_f64(a[(i, j)].to_f64() / scale);
                 }
             }
-            PlanKind::TallQr | PlanKind::WideQr => {
-                // Host-side QR (tall directly, wide on the transpose):
-                // σ(A) = σ(R) with R only device_n × device_n.
-                let (qm, qn) = match core.kind {
-                    PlanKind::TallQr => (core.rows, core.cols),
-                    _ => (core.cols, core.rows),
-                };
-                let mut qr = Matrix::<f64>::from_col_major(qm, qn, std::mem::take(&mut ws.qr));
-                for j in 0..qn {
-                    for i in 0..qm {
-                        let v = match core.kind {
-                            PlanKind::TallQr => a[(i, j)],
-                            _ => a[(j, i)],
-                        };
-                        qr[(i, j)] = v.to_f64() / scale;
-                    }
-                }
-                householder_qr_into(&mut qr, &mut ws.qr_tau);
-                // T::from_f64 ∘ to_f64 is the identity on T's values, so
-                // staging R directly matches the one-shot path (which
-                // materialises R as a Matrix<T> first) bit for bit.
-                for j in 0..qn {
-                    for i in 0..=j {
-                        ws.staging[j * padded + i] = T::from_f64(qr[(i, j)]);
-                    }
-                }
-                ws.qr = qr.into_vec();
-            }
-            PlanKind::Empty => unreachable!("handled above"),
         }
-        dev.upload_into(&ws.staging, buf);
-        tau.fill(T::zero());
+        PlanKind::TallQr | PlanKind::WideQr => {
+            // Host-side QR (tall directly, wide on the transpose):
+            // σ(A) = σ(R) with R only device_n × device_n.
+            let (qm, qn) = match core.kind {
+                PlanKind::TallQr => (core.rows, core.cols),
+                _ => (core.cols, core.rows),
+            };
+            let mut qr = Matrix::<f64>::from_col_major(qm, qn, std::mem::take(&mut ws.qr));
+            for j in 0..qn {
+                for i in 0..qm {
+                    let v = match core.kind {
+                        PlanKind::TallQr => a[(i, j)],
+                        _ => a[(j, i)],
+                    };
+                    qr[(i, j)] = v.to_f64() / scale;
+                }
+            }
+            householder_qr_into(&mut qr, &mut ws.qr_tau);
+            // T::from_f64 ∘ to_f64 is the identity on T's values, so
+            // staging R directly matches the one-shot path (which
+            // materialises R as a Matrix<T> first) bit for bit.
+            for j in 0..qn {
+                for i in 0..=j {
+                    ws.staging[j * padded + i] = T::from_f64(qr[(i, j)]);
+                }
+            }
+            ws.qr = qr.into_vec();
+        }
+        PlanKind::Empty => unreachable!("handled above"),
     }
+    dev.upload_into(&ws.staging, buf);
+    tau.fill(T::zero());
 
     let piped = run_pipeline::<T>(
         dev,
@@ -1154,7 +1105,7 @@ pub(crate) fn execute_core<T: Scalar>(
             *v *= scale;
         }
     }
-    assemble_vectors(core, ws, dev, out);
+    assemble_vectors(core, ws, out);
     out.params = core.params;
     out.padded_n = core.padded;
     dev.summary_into(&mut out.summary);
@@ -1168,15 +1119,9 @@ pub(crate) fn execute_core<T: Scalar>(
 /// tall/wide shapes additionally lift the left (resp. right) factor
 /// through the retained host QR: for tall `A = Q_h·R`, `U(A) = Q_h·U(R)`,
 /// and for wide `A = (Q_h·R)ᵀ = V(R)·Σ·(Q_h·U(R))ᵀ`.
-fn assemble_vectors<T: Scalar>(
-    core: &PlanCore,
-    ws: &mut Workspace<T>,
-    dev: &Device,
-    out: &mut SvdOutput,
-) {
-    if core.cfg.vectors == Want::None || dev.mode() != ExecMode::Numeric {
-        // Values-only solves and trace replays (which have no data to
-        // accumulate) carry no factors.
+fn assemble_vectors<T: Scalar>(core: &PlanCore, ws: &mut Workspace<T>, out: &mut SvdOutput) {
+    if core.cfg.vectors == Want::None {
+        // Values-only solves carry no factors.
         out.u = None;
         out.vt = None;
         return;
@@ -1428,13 +1373,6 @@ mod tests {
             Err(PlanError::ExceedsDeviceMemory { padded, .. }) => assert_eq!(padded, 65536),
             other => panic!("expected capacity rejection, got {other:?}"),
         }
-        // Trace-only plans skip the capacity check (no data exists) —
-        // that's the Fig. 5 size-sweep use case.
-        assert!(Svd::on(&rtx4060())
-            .precision::<f32>()
-            .trace_only()
-            .plan(65536, 65536)
-            .is_ok());
     }
 
     #[test]
@@ -1644,7 +1582,7 @@ mod tests {
             bits(&plan.execute(&good).unwrap().values),
             bits(&plan.execute(&good2).unwrap().values),
         ];
-        let batch = plan.execute_batch_refs(&[&good, &wrong, &good2]);
+        let batch = plan.execute_batch(&[good, wrong, good2]);
         assert_eq!(bits(&batch[0].as_ref().unwrap().values), expected[0]);
         assert!(matches!(
             batch[1],
@@ -1664,22 +1602,6 @@ mod tests {
         assert!(out.values.is_empty());
         assert_eq!(out.padded_n, 0);
         assert_eq!(plan.cost().total_launches(), 0);
-    }
-
-    #[test]
-    fn trace_only_plan_accounts_cost_without_data() {
-        let mut plan = Svd::on(&h100())
-            .precision::<f32>()
-            .trace_only()
-            .plan(256, 256)
-            .unwrap();
-        // Trace plans allocate no staging at all.
-        assert!(plan.ws.staging.is_empty());
-        let out = plan.execute(&Matrix::<f32>::zeros(256, 256)).unwrap();
-        assert!(out.values.is_empty());
-        use unisvd_gpu::KernelClass::*;
-        assert!(out.summary.seconds_of(PanelFactorization) > 0.0);
-        assert!(out.summary.seconds_of(BandToBidiagonal) > 0.0);
     }
 
     #[test]
@@ -1737,13 +1659,6 @@ mod tests {
             Err(PlanError::ExceedsDeviceMemory { padded, .. }) => assert_eq!(padded, 65536),
             other => panic!("expected capacity rejection, got {other:?}"),
         }
-        // Trace-only probes skip the capacity check, like trace plans.
-        let p = Svd::on(&rtx4060())
-            .precision::<f32>()
-            .trace_only()
-            .probe(65536, 65536)
-            .unwrap();
-        assert_eq!(p.device_bytes, 0, "trace plans pin no device data");
     }
 
     #[test]
@@ -1754,8 +1669,8 @@ mod tests {
         assert_eq!(moved.backend, BackendKind::Rocm);
         // Everything that is not device identity is preserved.
         assert_eq!(
-            (moved.rows, moved.cols, moved.precision, moved.trace_only),
-            (sig.rows, sig.cols, sig.precision, sig.trace_only)
+            (moved.rows, moved.cols, moved.precision),
+            (sig.rows, sig.cols, sig.precision)
         );
         assert_eq!(moved.config, sig.config);
         // Round-trip restores the original signature exactly.

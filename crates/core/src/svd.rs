@@ -131,17 +131,16 @@ impl std::fmt::Display for SvdConfig {
 /// Everything a singular value computation produces.
 #[derive(Clone, Debug)]
 pub struct SvdOutput {
-    /// Singular values in descending order, in `f64` (empty in trace-only
-    /// mode). Under [`Want::TopK`] this is truncated to the leading `k`
-    /// entries — a bit-for-bit prefix of the full list.
+    /// Singular values in descending order, in `f64`. Under
+    /// [`Want::TopK`] this is truncated to the leading `k` entries — a
+    /// bit-for-bit prefix of the full list.
     pub values: Vec<f64>,
     /// Left singular vectors, `rows × k` column-major (`k` per
     /// [`Want::columns`]): `Some` iff the configuration requested
-    /// vectors and the solve was numeric. Column `j` pairs with
-    /// `values[j]`.
+    /// vectors. Column `j` pairs with `values[j]`.
     pub u: Option<Matrix<f64>>,
     /// Right singular vectors transposed, `k × cols`: `Some` iff vectors
-    /// were requested on a numeric solve. Row `j` pairs with `values[j]`,
+    /// were requested. Row `j` pairs with `values[j]`,
     /// so `A ≈ U · diag(values) · Vᵀ`.
     pub vt: Option<Matrix<f64>>,
     /// Hyperparameters actually used.
@@ -393,16 +392,27 @@ pub fn svdvals<T: Scalar>(a: &Matrix<T>, dev: &Device) -> Result<Vec<f64>, SvdEr
 /// plan core + workspaces per call (exactly the old per-call work —
 /// amortize it with [`Svd`] when solving the same shape repeatedly) and
 /// executes once on the caller's device, accumulating into the caller's
-/// trace as before.
+/// trace as before. Planning rejections, including the device-capacity
+/// rule, surface exactly as they would from [`Svd::plan`].
+///
+/// # Panics
+/// If `dev` is trace-only: simulated cost without data comes from
+/// [`svdvals_cost`] (or [`SvdPlan::cost`](crate::SvdPlan::cost)).
 pub fn svdvals_with<T: Scalar>(
     a: &Matrix<T>,
     dev: &Device,
     cfg: &SvdConfig,
 ) -> Result<SvdOutput, SvdError> {
+    assert_eq!(
+        dev.mode(),
+        ExecMode::Numeric,
+        "use svdvals_cost on trace-only devices"
+    );
     let core = PlanCore::new::<T>(dev, cfg, a.rows(), a.cols())?;
+    Svd::<T>::capacity_check(dev, &core)?;
     let buf = dev.alloc::<T>(core.padded() * core.padded());
     let tau = dev.alloc::<T>(core.padded());
-    let mut ws = core.host_workspace::<T>(dev.mode());
+    let mut ws = core.host_workspace::<T>();
     let mut out = SvdOutput::empty();
     execute_core(
         &core,
@@ -788,6 +798,14 @@ mod tests {
         // A 0×0 problem launches nothing, exactly like a 0×0 plan.
         let empty = svdvals_cost::<f32>(0, &Device::trace_only(h100()), &SvdConfig::default());
         assert_eq!(empty.unwrap().total_seconds(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "use svdvals_cost")]
+    fn svdvals_refuses_trace_only_devices() {
+        // A trace-only device carries no data, so it has no values to
+        // return; cost without data is svdvals_cost's job.
+        let _ = svdvals(&Matrix::<f32>::identity(8), &Device::trace_only(h100()));
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl SvdFleet {
         out: &mut SvdOutput,
     ) -> Result<(), SvdError> {
         let idx = self
-            .place::<T>(a.rows(), a.cols(), cfg, false, 0)
+            .place::<T>(a.rows(), a.cols(), cfg, 0)
             .map_err(SvdError::from)?;
         self.backends[idx].solve_into(a, cfg, out)
     }
@@ -467,7 +467,7 @@ impl SvdFleet {
         let mut exclude = 0u64;
         let mut last: Option<ServiceError> = None;
         loop {
-            match self.place::<T>(rows, cols, cfg, false, exclude) {
+            match self.place::<T>(rows, cols, cfg, exclude) {
                 Ok(idx) => {
                     p.sig = p.sig.for_device(self.backends[idx].hw());
                     match self.backends[idx].submit_pending(p) {
@@ -612,7 +612,7 @@ impl SvdFleet {
     }
 
     fn replant_as<T: Scalar>(&self, sig: &PlanSignature) -> bool {
-        match self.place::<T>(sig.rows, sig.cols, &sig.config, sig.trace_only, 0) {
+        match self.place::<T>(sig.rows, sig.cols, &sig.config, 0) {
             Ok(idx) => {
                 let target = sig.for_device(self.backends[idx].hw());
                 self.backends[idx].warm(&[target]);
@@ -636,13 +636,7 @@ impl SvdFleet {
     fn reroute_as<T: Scalar>(&self, mut p: Pending) -> bool {
         let mut exclude = 0u64;
         loop {
-            match self.place::<T>(
-                p.sig.rows,
-                p.sig.cols,
-                &p.sig.config,
-                p.sig.trace_only,
-                exclude,
-            ) {
+            match self.place::<T>(p.sig.rows, p.sig.cols, &p.sig.config, exclude) {
                 Ok(idx) => {
                     p.sig = p.sig.for_device(self.backends[idx].hw());
                     match self.backends[idx].adopt(p) {
@@ -674,7 +668,6 @@ impl SvdFleet {
         rows: usize,
         cols: usize,
         cfg: &SvdConfig,
-        trace_only: bool,
         exclude: u64,
     ) -> Result<usize, ServiceError> {
         let key = RouteKey {
@@ -682,7 +675,6 @@ impl SvdFleet {
             rows,
             cols,
             config: *cfg,
-            trace_only,
         };
         let mut warm_replica: Option<usize> = None;
         let decision = {
@@ -701,13 +693,9 @@ impl SvdFleet {
                         // Hot: replicate to a second home so the load
                         // (and the fault exposure) splits.
                         if pl.replica.is_none() && pl.served >= self.replicate_after {
-                            if let Some(r) = self.pick::<T>(
-                                rows,
-                                cols,
-                                cfg,
-                                trace_only,
-                                exclude | 1 << pl.primary,
-                            ) {
+                            if let Some(r) =
+                                self.pick::<T>(rows, cols, cfg, exclude | 1 << pl.primary)
+                            {
                                 pl.replica = Some(r);
                                 warm_replica = Some(r);
                             }
@@ -727,7 +715,7 @@ impl SvdFleet {
             };
             match routed {
                 Some(idx) => Ok(idx),
-                None => match self.pick::<T>(rows, cols, cfg, trace_only, exclude) {
+                None => match self.pick::<T>(rows, cols, cfg, exclude) {
                     Some(primary) => {
                         map.insert(
                             key,
@@ -748,10 +736,8 @@ impl SvdFleet {
         // Prewarm the new replica outside the router lock (planning is
         // expensive; routing must not serialize behind it).
         if let Some(r) = warm_replica {
-            if !trace_only {
-                let sig = self.backends[r].signature::<T>(rows, cols, cfg);
-                self.backends[r].warm(&[sig]);
-            }
+            let sig = self.backends[r].signature::<T>(rows, cols, cfg);
+            self.backends[r].warm(&[sig]);
         }
         decision
     }
@@ -774,7 +760,6 @@ impl SvdFleet {
         rows: usize,
         cols: usize,
         cfg: &SvdConfig,
-        trace_only: bool,
         exclude: u64,
     ) -> Option<usize> {
         let mut candidates = Vec::with_capacity(self.backends.len());
@@ -782,16 +767,16 @@ impl SvdFleet {
             if !self.usable(i, exclude) {
                 continue;
             }
-            let mut probe = Svd::on(svc.hw()).precision::<T>().config(*cfg);
-            if trace_only {
-                probe = probe.trace_only();
-            }
             // Table 2 support and device capacity, without building a
             // plan: a rejection here is "route elsewhere" — except an
             // over-capacity shape the out-of-core streaming path would
             // absorb, which stays a candidate (never "fits", so any
             // backend that can solve in core still outranks it).
-            let probe = match probe.probe(rows, cols) {
+            let probe = match Svd::on(svc.hw())
+                .precision::<T>()
+                .config(*cfg)
+                .probe(rows, cols)
+            {
                 Ok(p) => Some(p),
                 Err(PlanError::ExceedsDeviceMemory {
                     oocore_eligible: true,

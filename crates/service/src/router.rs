@@ -30,7 +30,6 @@ pub(crate) struct RouteKey {
     pub rows: usize,
     pub cols: usize,
     pub config: SvdConfig,
-    pub trace_only: bool,
 }
 
 /// Where one route key's requests go: a primary backend, an optional

@@ -270,8 +270,8 @@ impl std::fmt::Display for ServiceError {
             ),
             ServiceError::NoDeviceSupports { signature } => write!(
                 f,
-                "no fleet device supports {:?} {}x{} (trace_only: {})",
-                signature.precision, signature.rows, signature.cols, signature.trace_only
+                "no fleet device supports {:?} {}x{}",
+                signature.precision, signature.rows, signature.cols
             ),
             ServiceError::Timeout { waited } => {
                 write!(f, "deadline expired at admission (budget {waited:.1?})")
@@ -565,7 +565,7 @@ impl SvdService {
     /// Protocol: the plan is checked **out** of its cache shard (no lock
     /// is held while solving), executed, and returned. A cache hit runs
     /// [`SvdPlan::execute`] (amortized host driver overhead); a miss
-    /// plans first and runs [`SvdPlan::execute_cold`], whose summary
+    /// plans first and runs [`SvdPlan::execute_cold_into`], whose summary
     /// carries the full one-shot driver overhead the planning work
     /// actually cost — so the trace honestly separates warm from cold
     /// serving cost. The *values* are bit-identical either way.
@@ -824,7 +824,7 @@ impl SvdService {
     }
 
     /// Solves a batch of requests, coalescing same-signature requests
-    /// into [`SvdPlan::execute_batch_refs`] calls that fan out on the
+    /// into [`SvdPlan::execute_batch_refs_into`] calls that fan out on the
     /// host work-stealing pool — one plan checkout (or build) per
     /// distinct shape instead of per request.
     ///
@@ -1061,11 +1061,7 @@ impl Inner {
     /// device); returns 1 when the plan is resident afterwards, 0 on a
     /// plan-time rejection or a declined publish.
     fn warm_one<T: Scalar>(&self, sig: &PlanSignature) -> usize {
-        let mut builder = self.builder::<T>(&sig.config);
-        if sig.trace_only {
-            builder = builder.trace_only();
-        }
-        match builder.plan(sig.rows, sig.cols) {
+        match self.builder::<T>(&sig.config).plan(sig.rows, sig.cols) {
             Ok(plan) => {
                 self.publish(*sig, Box::new(plan));
                 usize::from(self.cache.contains(sig))

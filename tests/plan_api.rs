@@ -209,3 +209,40 @@ fn nonsquare_plan_reuse_matches_one_shot() {
         }
     }
 }
+
+/// The one-shot entry points apply the same device-capacity rule as
+/// `Svd::plan`: a matrix a plan refuses is refused by `svdvals_with` and
+/// by `svdvals_batched_with`, on the uniform and the mixed-shape path,
+/// while a small matrix in the same mixed batch still solves.
+#[test]
+fn one_shot_entry_points_apply_the_plan_capacity_rule() {
+    let mut small = hw::rtx4060();
+    small.memory_bytes = 16 * 1024;
+    let big = Matrix::<f32>::identity(96);
+    let tiny = Matrix::<f32>::identity(8);
+    let cfg = SvdConfig::default();
+    let over = |r: &Result<_, SvdError>| {
+        matches!(
+            r,
+            Err(SvdError::Plan(PlanError::ExceedsDeviceMemory { .. }))
+        )
+    };
+    assert!(matches!(
+        Svd::on(&small).precision::<f32>().plan(96, 96),
+        Err(PlanError::ExceedsDeviceMemory { .. })
+    ));
+    assert!(over(&svdvals_with(
+        &big,
+        &Device::numeric(small.clone()),
+        &cfg
+    )));
+    let uniform = svdvals_batched_with(&[big.clone(), big.clone()], &small, &cfg);
+    assert!(uniform.iter().all(over));
+    let mixed = svdvals_batched_with(&[big, tiny], &small, &cfg);
+    assert!(
+        over(&mixed[0]),
+        "got {:?}",
+        mixed[0].as_ref().map(|o| o.values.len())
+    );
+    assert_eq!(mixed[1].as_ref().unwrap().values.len(), 8);
+}

@@ -5,9 +5,63 @@
 use proptest::prelude::*;
 use unisvd::reference::sv_relative_error;
 use unisvd::{
-    bdsqr, bisect, hw, jacobi_svdvals, svdvals, svdvals_with, Bidiagonal, Device, Matrix,
-    SvdConfig, Want, F16,
+    bdsqr, bisect, hw, jacobi_svdvals, svdvals, svdvals_batched, svdvals_with, Bidiagonal, Device,
+    Matrix, Scalar, Svd, SvdConfig, SvdService, Want, F16,
 };
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Solves one random `m × n` matrix through every core numeric entry
+/// point and asserts they all return the same bits: the one-shot
+/// `svdvals_with`, a plan's `execute`, both entries of an
+/// `execute_batch` over the matrix twice, the mixed-shape path of
+/// `svdvals_batched` (a differently-shaped companion rules out the
+/// uniform plan path), and `SvdService::solve`.
+fn entry_points_agree<T: Scalar>(m: usize, n: usize, seed: u64) {
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = unisvd::testmat::random_general::<T, _>(m, n, &mut rng);
+    let companion = unisvd::testmat::random_general::<T, _>(m + 1, n, &mut rng);
+    let h = hw::h100();
+    let cfg = SvdConfig::default();
+    let want = bits(
+        &svdvals_with(&a, &Device::numeric(h.clone()), &cfg)
+            .unwrap()
+            .values,
+    );
+    let mut plan = Svd::on(&h).precision::<T>().config(cfg).plan(m, n).unwrap();
+    let ctx = format!("{m}x{n} {:?}", T::KIND);
+    assert_eq!(
+        bits(&plan.execute(&a).unwrap().values),
+        want,
+        "execute {ctx}"
+    );
+    for (i, out) in plan
+        .execute_batch(&[a.clone(), a.clone()])
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(
+            bits(&out.as_ref().unwrap().values),
+            want,
+            "execute_batch[{i}] {ctx}"
+        );
+    }
+    let mixed = svdvals_batched(&[a.clone(), companion], &h, &cfg);
+    assert_eq!(
+        bits(mixed[0].as_ref().unwrap()),
+        want,
+        "svdvals_batched {ctx}"
+    );
+    let service = SvdService::builder(&h).build();
+    assert_eq!(
+        bits(&service.solve(&a, &cfg).unwrap().values),
+        want,
+        "service.solve {ctx}"
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -263,6 +317,14 @@ proptest! {
             let _ = service.solve(&Matrix::<f32>::identity(n), &cfg);
         }
         prop_assert!(service.ledger_in_balance(), "books drifted");
+    }
+
+    /// Every core numeric entry point returns bit-identical values on
+    /// square, tall, wide and non-tile-multiple shapes, in f32 and f64.
+    #[test]
+    fn entry_points_agree_bitwise(m in 4usize..40, n in 4usize..40, seed in any::<u64>()) {
+        entry_points_agree::<f32>(m, n, seed);
+        entry_points_agree::<f64>(m, n, seed);
     }
 
     /// Matrix scaling: σ(cA) = |c|·σ(A).
