@@ -9,7 +9,7 @@ use unisvd_matrix::Matrix;
 use unisvd_scalar::{Real, Scalar};
 
 /// Maximum number of full sweeps before declaring non-convergence.
-pub(crate) const MAX_SWEEPS: usize = 60;
+const MAX_SWEEPS: usize = 60;
 
 /// All singular values of `a` (any shape, `rows ≥ cols` works best),
 /// descending. Converges to working precision on any finite input.

@@ -18,15 +18,13 @@
 //!   like `execute_batch`. The final `n × n` `R` (σ(A) = σ(R)) runs
 //!   through the ordinary in-core plan. The front-end working set drops
 //!   from the in-core tall-QR's full `m × n` staging copy to one panel.
-//! * **Streaming** (any shape) — the operand is staged host↔device in
-//!   tiles through a bounded, reusable
-//!   [`StagingArena`] (drop-guarded ledger
-//!   reservations; at most one tile resident), with the cost model
-//!   charging one `Transfer` event per tile — the out-of-core regime of
-//!   the simulated trace. The numeric pipeline is the unmodified
-//!   in-core plan against a virtually enlarged device, so streamed
-//!   values are **bit-identical** to a single-upload oracle on a device
-//!   big enough to hold the operand, at any thread count.
+//! * **Streaming** (any shape) — the operand moves host↔device in
+//!   tiles of at most a quarter of the device budget, with the cost
+//!   model charging one `Transfer` event per tile — the out-of-core
+//!   regime of the simulated trace. The numeric pipeline is the
+//!   unmodified in-core plan against a virtually enlarged device, so
+//!   streamed values are **bit-identical** to a single-upload oracle on
+//!   a device big enough to hold the operand, at any thread count.
 //!
 //! ```
 //! use unisvd_core::SvdConfig;
@@ -52,7 +50,7 @@
 use std::marker::PhantomData;
 
 use unisvd_core::{PlanError, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan};
-use unisvd_gpu::{HardwareDescriptor, KernelClass, StagingArena};
+use unisvd_gpu::{HardwareDescriptor, KernelClass};
 use unisvd_kernels::pack_row_panel;
 use unisvd_matrix::{reference, Matrix};
 use unisvd_scalar::Scalar;
@@ -68,9 +66,9 @@ pub enum OocMode {
     /// thread counts but differ in rounding from the in-core oracle
     /// (a different, communication-avoiding reduction order).
     Tsqr,
-    /// Tile streaming through the bounded staging arena. Accepts any
-    /// shape; values are bit-identical to a single-upload in-core solve
-    /// on an enlarged device.
+    /// Tile streaming: one `Transfer` event per budget-sized tile.
+    /// Accepts any shape; values are bit-identical to a single-upload
+    /// in-core solve on an enlarged device.
     Streaming,
 }
 
@@ -161,7 +159,6 @@ impl<T: Scalar> OutOfCore<T> {
                 cols,
                 hw: self.hw,
                 resolved: Resolved::Tsqr { panel_rows },
-                staging: StagingArena::new(budget),
                 inner,
             });
         }
@@ -169,7 +166,7 @@ impl<T: Scalar> OutOfCore<T> {
         // enlarged clone of the device (identity is the name, and the
         // cost model never reads `memory_bytes`), so values match a
         // single-upload oracle bit for bit; the *real* device budget
-        // sizes the staged tiles and bounds the arena.
+        // sizes the streamed tiles.
         let dim = rows.max(cols) as u64 + 64; // ≥ any tile padding
         let need = (dim * dim + dim) * elem;
         let mut big = self.hw.clone();
@@ -179,14 +176,13 @@ impl<T: Scalar> OutOfCore<T> {
             .config(self.cfg)
             .plan(rows, cols)?;
         // One tile is at most a quarter of the budget (leaving headroom
-        // for the ledger to also admit other arena users), never empty.
+        // for the device's other resident buffers), never empty.
         let tile_elems = (budget / 4 / elem).max(1) as usize;
         Ok(OutOfCorePlan {
             rows,
             cols,
             hw: self.hw,
             resolved: Resolved::Streaming { tile_elems },
-            staging: StagingArena::new(budget),
             inner,
         })
     }
@@ -199,16 +195,15 @@ enum Resolved {
 }
 
 /// A planned out-of-core singular value computation: owns the inner
-/// in-core plan, the bounded staging arena, and the panel/tile geometry
-/// resolved from the device budget. Built by [`OutOfCore::plan`];
-/// repeated [`execute_into`](OutOfCorePlan::execute_into) calls reuse
-/// everything (the streaming path is allocation-free once warm).
+/// in-core plan and the panel/tile geometry resolved from the device
+/// budget. Built by [`OutOfCore::plan`]; repeated
+/// [`execute_into`](OutOfCorePlan::execute_into) calls reuse everything
+/// (the streaming path is allocation-free once warm).
 pub struct OutOfCorePlan<T: Scalar> {
     rows: usize,
     cols: usize,
     hw: HardwareDescriptor,
     resolved: Resolved,
-    staging: StagingArena,
     inner: SvdPlan<T>,
 }
 
@@ -222,7 +217,7 @@ impl<T: Scalar> OutOfCorePlan<T> {
         }
     }
 
-    /// Number of row panels (TSQR) or staged tiles (streaming) one
+    /// Number of row panels (TSQR) or streamed tiles (streaming) one
     /// execute moves through the device.
     pub fn panels(&self) -> usize {
         match self.resolved {
@@ -231,12 +226,6 @@ impl<T: Scalar> OutOfCorePlan<T> {
                 (self.rows * self.cols).div_ceil(tile_elems.max(1))
             }
         }
-    }
-
-    /// The bounded staging arena tiles are leased from (streaming mode;
-    /// its ledger gauge is the resident staging footprint).
-    pub fn staging(&self) -> &StagingArena {
-        &self.staging
     }
 
     /// The descriptor of the *physical* device this plan streams
@@ -276,9 +265,8 @@ impl<T: Scalar> OutOfCorePlan<T> {
     }
 
     /// Streaming: the inner (enlarged-device) plan computes the values;
-    /// the operand is then staged tile by tile through the bounded
-    /// arena, charging one transfer per tile, and the summary refreshed
-    /// to include the out-of-core regime.
+    /// the operand's tiles are then charged one transfer each, and the
+    /// summary refreshed to include the out-of-core regime.
     fn execute_streaming(
         &mut self,
         a: &Matrix<T>,
@@ -289,19 +277,8 @@ impl<T: Scalar> OutOfCorePlan<T> {
         let elem = T::KIND.bytes();
         let dev = self.inner.device();
         for chunk in a.as_slice().chunks(tile_elems.max(1)) {
-            let Some(mut tile) = self.staging.lease::<T>(chunk.len()) else {
-                return Err(SvdError::Rejected {
-                    reason: format!(
-                        "staging arena cannot hold a {}-byte tile within its \
-                         {}-byte budget",
-                        chunk.len() * elem,
-                        self.staging.ledger().budget()
-                    ),
-                });
-            };
-            tile.copy_from_slice(chunk);
             dev.transfer("oocore_stream_tile", (chunk.len() * elem) as f64);
-        } // each tile drops back into the arena before the next lease
+        }
         dev.summary_into(&mut out.summary);
         Ok(())
     }
@@ -482,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_steady_state_recycles_tiles() {
+    fn streaming_charges_one_transfer_per_tile() {
         let hw = tiny(32 * 1024);
         let a: Matrix<f32> = random(96, 96, 9).cast();
         let mut plan = OutOfCore::on(&hw)
@@ -490,20 +467,27 @@ mod tests {
             .mode(OocMode::Streaming)
             .plan(96, 96)
             .unwrap();
-        let mut out = SvdOutput::empty();
-        plan.execute_into(&a, &mut out).unwrap();
-        let (leases0, _) = plan.staging().stats();
-        plan.execute_into(&a, &mut out).unwrap();
-        let (leases1, reuses1) = plan.staging().stats();
-        assert!(leases0 > 0);
+        let mut big = rtx4060();
+        big.memory_bytes = 8 * 1024 * 1024 * 1024;
+        let mut oracle = Svd::on(&big).precision::<f32>().plan(96, 96).unwrap();
+        let oracle_transfers = oracle
+            .execute(&a)
+            .unwrap()
+            .summary
+            .launches_of(KernelClass::Transfer);
+        let first = plan.execute(&a).unwrap();
+        let second = plan.execute(&a).unwrap();
+        for out in [&first, &second] {
+            assert_eq!(
+                out.summary.launches_of(KernelClass::Transfer),
+                oracle_transfers + plan.panels(),
+                "exactly one transfer per streamed tile on top of the oracle's"
+            );
+        }
         assert_eq!(
-            reuses1,
-            leases1 - u64::from(plan.panels() > 0),
-            "after warmup every lease but the very first is a reuse"
-        );
-        assert!(
-            plan.staging().ledger().used() <= plan.staging().ledger().budget(),
-            "resident staging stays within the device budget"
+            first.summary.seconds_of(KernelClass::Transfer).to_bits(),
+            second.summary.seconds_of(KernelClass::Transfer).to_bits(),
+            "the tile schedule is the same on every execute"
         );
     }
 

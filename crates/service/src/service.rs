@@ -150,8 +150,8 @@ impl<D> ServiceBuilder<D> {
     /// Out-of-core fallback: when enabled, a request the planner rejects
     /// as over-capacity — but which [`unisvd_core::PlanProbe`] marks
     /// `oocore_eligible` — is solved through the out-of-core streaming
-    /// path ([`unisvd_oocore::OutOfCore`], panel staging bounded by the
-    /// device budget) instead of returning
+    /// path ([`unisvd_oocore::OutOfCore`], tiles sized from the device
+    /// budget) instead of returning
     /// `PlanError::ExceedsDeviceMemory`. Values are bit-identical to a
     /// device large enough to hold the operand. Off by default: the
     /// streaming path trades extra transfer cost for feasibility, which

@@ -36,7 +36,7 @@
 //!   operands beyond device memory: a TSQR front-end for tall-skinny
 //!   shapes (panel QR + fixed-shape R-reduction tree, bit-identical for
 //!   any thread count) and a panel-streaming path for general shapes
-//!   (tiles staged through a bounded reusable arena), both bit-identical
+//!   (one transfer costed per budget-sized tile), both bit-identical
 //!   to a large-enough device. Services and fleets opt in with
 //!   `oocore_fallback(true)` to stream requests their device rejects as
 //!   over-capacity.
@@ -55,9 +55,7 @@
 //! assert!((sv[0] - 1.0).abs() < 1e-5);
 //! ```
 
-pub use unisvd_baselines::{
-    gebrd, jacobi_svd, jacobi_svdvals, onestage_svdvals, Library, SvdFactors,
-};
+pub use unisvd_baselines::{gebrd, jacobi_svdvals, onestage_svdvals, Library};
 pub use unisvd_core::{
     band_to_bidiagonal, band_to_bidiagonal_into, bdsqr, bdsqr_into, bisect, bisect_into, dqds,
     dqds_into, svdvals, svdvals_batched, svdvals_batched_with, svdvals_cost, svdvals_with,
@@ -68,7 +66,7 @@ pub use unisvd_gpu::hw;
 pub use unisvd_gpu::{
     BackendKind, Device, DeviceFault, ExecMode, FaultChannel, FaultInjector, FaultKind, FaultPlan,
     FaultRecord, GlobalBuffer, HardwareDescriptor, KernelClass, LaunchRecord, LaunchSpec,
-    MemoryLedger, StagingArena, StagingTile, TraceSummary, UnsupportedPrecision, WorkgroupArena,
+    MemoryLedger, TraceSummary, UnsupportedPrecision, WorkgroupArena,
 };
 pub use unisvd_kernels::HyperParams;
 pub use unisvd_matrix::{

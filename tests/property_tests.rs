@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use unisvd::reference::sv_relative_error;
 use unisvd::{
     bdsqr, bisect, hw, jacobi_svdvals, svdvals, svdvals_batched, svdvals_with, Bidiagonal, Device,
-    Matrix, Scalar, Svd, SvdConfig, SvdService, Want, F16,
+    Matrix, OocMode, OutOfCore, Scalar, Svd, SvdConfig, SvdFleet, SvdService, Want, F16,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -18,7 +18,10 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// `svdvals_with`, a plan's `execute`, both entries of an
 /// `execute_batch` over the matrix twice, the mixed-shape path of
 /// `svdvals_batched` (a differently-shaped companion rules out the
-/// uniform plan path), and `SvdService::solve`.
+/// uniform plan path), `SvdService::solve`, both entries of a
+/// `solve_batch` over the matrix twice, `submit(..).wait()`, a one-device
+/// `SvdFleet`'s `solve` and `submit(..).wait()`, and an out-of-core
+/// streaming plan's `execute`.
 fn entry_points_agree<T: Scalar>(m: usize, n: usize, seed: u64) {
     use rand::{rngs::StdRng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -60,6 +63,58 @@ fn entry_points_agree<T: Scalar>(m: usize, n: usize, seed: u64) {
         bits(&service.solve(&a, &cfg).unwrap().values),
         want,
         "service.solve {ctx}"
+    );
+    for (i, out) in service
+        .solve_batch(&[a.clone(), a.clone()], &cfg)
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(
+            bits(&out.as_ref().unwrap().values),
+            want,
+            "service.solve_batch[{i}] {ctx}"
+        );
+    }
+    assert_eq!(
+        bits(
+            &service
+                .submit(a.clone(), &cfg)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .values
+        ),
+        want,
+        "service.submit {ctx}"
+    );
+    let fleet = SvdFleet::new(std::slice::from_ref(&h));
+    assert_eq!(
+        bits(&fleet.solve(&a, &cfg).unwrap().values),
+        want,
+        "fleet.solve {ctx}"
+    );
+    assert_eq!(
+        bits(
+            &fleet
+                .submit(a.clone(), &cfg)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .values
+        ),
+        want,
+        "fleet.submit {ctx}"
+    );
+    let mut streaming = OutOfCore::on(&h)
+        .precision::<T>()
+        .config(cfg)
+        .mode(OocMode::Streaming)
+        .plan(m, n)
+        .unwrap();
+    assert_eq!(
+        bits(&streaming.execute(&a).unwrap().values),
+        want,
+        "oocore streaming {ctx}"
     );
 }
 
