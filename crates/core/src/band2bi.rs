@@ -12,7 +12,12 @@
 //!
 //! Rotation bookkeeping: every entry a rotation can touch lies within the
 //! stored band (`sub = 1` below, `sup = b + 1` above — the bulge room);
-//! annihilated targets are set to exact zero.
+//! annihilated targets are set to exact zero. During sweep `d` only the
+//! live band (distance `≤ d` above the diagonal) and the one bulge at
+//! distance `d + 1` can be nonzero, so each rotation walks that window
+//! (`reach = d + 1`) instead of every stored entry; the pairs it skips are
+//! `(0, 0)`, which a rotation leaves untouched, so the result is
+//! bit-identical to the full walk.
 
 use crate::vectors::RotLog;
 use unisvd_gpu::{Device, ExecMode, KernelClass, LaunchSpec};
@@ -31,27 +36,6 @@ pub fn givens<R: Real>(f: R, g: R) -> (R, R, R) {
         let r = f.hypot(g).copysign(f);
         (f / r, g / r, r)
     }
-}
-
-/// Applies a right (column) rotation mixing the adjacent columns
-/// `(j1, j1 + 1)` over every stored row, then forces the annihilation
-/// target `(zi, j1 + 1)` to exact 0. Delegates to the band storage's
-/// batched slice implementation ([`BandMatrix::givens_cols`]), which is
-/// bit-identical to the historical element-at-a-time loop.
-#[inline]
-fn rotate_cols<R: Real>(b: &mut BandMatrix<R>, j1: usize, j2: usize, c: R, s: R, zi: usize) {
-    debug_assert_eq!(j2, j1 + 1, "the chase only rotates adjacent columns");
-    b.givens_cols(j1, c, s, zi);
-}
-
-/// Applies a left (row) rotation mixing the adjacent rows `(i1, i1 + 1)`
-/// over every stored column, then forces the annihilation target
-/// `(i1 + 1, zj)` to exact 0 — via [`BandMatrix::givens_rows`], the
-/// batched twin of [`rotate_cols`].
-#[inline]
-fn rotate_rows<R: Real>(b: &mut BandMatrix<R>, i1: usize, i2: usize, c: R, s: R, zj: usize) {
-    debug_assert_eq!(i2, i1 + 1, "the chase only rotates adjacent rows");
-    b.givens_rows(i1, c, s, zj);
 }
 
 /// Annihilates element `(row, row + d)` (distance `d ≥ 2`) and chases the
@@ -74,21 +58,18 @@ fn chase_element<R: Real>(
         let g = b.get(target_row, jc);
         if g != R::ZERO {
             let (c, s, _r) = givens(f, g);
-            rotate_cols(b, jc - 1, jc, c, s, target_row);
+            b.givens_cols(jc - 1, c, s, target_row, d + 1);
             if let Some(log) = log.as_deref_mut() {
                 log.push(false, jc - 1, c.to_f64(), s.to_f64());
             }
         }
         // That created a bulge at (jc, jc-1), below the diagonal.
-        if jc >= n {
-            break;
-        }
         let bulge = b.get(jc, jc - 1);
         if bulge != R::ZERO {
             // Left rotation on rows (jc-1, jc) zeroing (jc, jc-1).
             let f = b.get(jc - 1, jc - 1);
             let (c, s, _r) = givens(f, bulge);
-            rotate_rows(b, jc - 1, jc, c, s, jc - 1);
+            b.givens_rows(jc - 1, c, s, jc - 1, d + 1);
             if let Some(log) = log.as_deref_mut() {
                 log.push(true, jc - 1, c.to_f64(), s.to_f64());
             }

@@ -196,26 +196,44 @@ impl<R: Real> BandMatrix<R> {
     }
 
     /// Applies a right (column) Givens rotation mixing the **adjacent**
-    /// columns `j1` and `j1 + 1` over every stored row, then forces the
-    /// annihilation target `(zi, j1 + 1)` to exact zero — the batched
-    /// stage-2 chase update. Semantically identical to rotating element
-    /// by element through [`get`](Self::get)/[`set`](Self::set) (the
-    /// unit tests pin bit-identity against that reference), but the
-    /// interior rows — where both columns are stored — walk the two
-    /// contiguous column slices directly, skipping per-element band
-    /// checks and index arithmetic.
+    /// columns `j1` and `j1 + 1` over the rows of the live window, then
+    /// forces the annihilation target `(zi, j1 + 1)` to exact zero — the
+    /// batched stage-2 chase update.
+    ///
+    /// `reach` is how far above the diagonal the caller's band can hold
+    /// nonzeros: the rotation walks rows `j1 + 1 - min(sup, reach) ..=
+    /// j1 + sub`, plus the `j1 - sup` head entry when `reach >= sup`. Every
+    /// pair outside that window must be `(0, 0)`, which a rotation leaves
+    /// untouched, so the result is bit-identical to the full walk
+    /// (`reach >= sup`). Debug builds check that invariant.
+    ///
+    /// Semantically identical to rotating element by element through
+    /// [`get`](Self::get)/[`set`](Self::set) (the unit tests pin
+    /// bit-identity against that reference), but the interior rows —
+    /// where both columns are stored — walk the two contiguous column
+    /// slices directly, skipping per-element band checks and index
+    /// arithmetic.
     ///
     /// # Panics
     /// If `j1 + 1 >= n`.
-    pub fn givens_cols(&mut self, j1: usize, c: R, s: R, zi: usize) {
+    pub fn givens_cols(&mut self, j1: usize, c: R, s: R, zi: usize, reach: usize) {
         let n = self.n;
         let j2 = j1 + 1;
         assert!(j2 < n, "column rotation out of matrix");
         let (sub, sup) = (self.sub, self.sup);
         let stride = self.stride();
+        let win = sup.min(reach);
+        let lo = j2.saturating_sub(win);
+        debug_assert!(
+            win == sup
+                || (j1.saturating_sub(sup)..lo)
+                    .all(|i| self.get(i, j1) == R::ZERO && self.get(i, j2) == R::ZERO),
+            "column rotation window (reach {reach}) skipped a nonzero above row {lo}"
+        );
         // Row segments: `j1 - sup` is stored only in column j1,
-        // `j2 + sub` only in column j2, everything between in both.
-        if j1 >= sup {
+        // `j2 + sub` only in column j2, everything between in both. Rows
+        // above `lo` lie outside the live window.
+        if win == sup && j1 >= sup {
             let i = j1 - sup;
             let f = self.data[j1 * stride + (i + sup - j1)];
             let g = R::ZERO;
@@ -226,7 +244,6 @@ impl<R: Real> BandMatrix<R> {
                 debug_assert!(ng == R::ZERO, "column rotation escaped band at ({i},{j2})");
             }
         }
-        let lo = j2.saturating_sub(sup);
         let hi = (j1 + sub).min(n - 1);
         if lo <= hi {
             // Column j1 rows [lo, hi] and column j2 rows [lo, hi] are two
@@ -266,21 +283,31 @@ impl<R: Real> BandMatrix<R> {
     }
 
     /// Applies a left (row) Givens rotation mixing the **adjacent** rows
-    /// `i1` and `i1 + 1` over every stored column, then forces the
-    /// annihilation target `(i1 + 1, zj)` to exact zero. The row-side
-    /// twin of [`givens_cols`](Self::givens_cols): the two row elements
-    /// of one column sit next to each other in band storage, so the
-    /// interior loop touches each column's pair directly with a constant
-    /// stride walk.
+    /// `i1` and `i1 + 1` over the columns of the live window, then forces
+    /// the annihilation target `(i1 + 1, zj)` to exact zero. The row-side
+    /// twin of [`givens_cols`](Self::givens_cols), with the same `reach`
+    /// contract: it walks columns `i1 + 1 - sub ..= i1 + min(sup, reach)`,
+    /// plus the `i1 + sup + 1` tail entry when `reach >= sup`. The two
+    /// row elements of one column sit next to each other in band storage,
+    /// so the interior loop touches each column's pair directly with a
+    /// constant stride walk.
     ///
     /// # Panics
     /// If `i1 + 1 >= n`.
-    pub fn givens_rows(&mut self, i1: usize, c: R, s: R, zj: usize) {
+    pub fn givens_rows(&mut self, i1: usize, c: R, s: R, zj: usize, reach: usize) {
         let n = self.n;
         let i2 = i1 + 1;
         assert!(i2 < n, "row rotation out of matrix");
         let (sub, sup) = (self.sub, self.sup);
         let stride = self.stride();
+        let win = sup.min(reach);
+        let hi = (i1 + win).min(n - 1);
+        debug_assert!(
+            win == sup
+                || (hi + 1..=(i1 + sup + 1).min(n - 1))
+                    .all(|j| self.get(i1, j) == R::ZERO && self.get(i2, j) == R::ZERO),
+            "row rotation window (reach {reach}) skipped a nonzero beyond column {hi}"
+        );
         if i1 >= sub {
             let j = i1 - sub;
             let f = self.data[j * stride + (i1 + sup - j)];
@@ -293,7 +320,6 @@ impl<R: Real> BandMatrix<R> {
             }
         }
         let lo = i2.saturating_sub(sub);
-        let hi = (i1 + sup).min(n - 1);
         if lo <= hi {
             // Element (i1, j) sits directly above (i2, j) in column j's
             // block; consecutive columns advance the pair by `stride - 1`,
@@ -331,7 +357,7 @@ impl<R: Real> BandMatrix<R> {
                 }
             }
         }
-        if i1 + sup + 1 < n {
+        if win == sup && i1 + sup + 1 < n {
             let j = i1 + sup + 1;
             let f = R::ZERO;
             let g = self.data[j * stride + (i2 + sup - j)];
@@ -537,6 +563,69 @@ mod tests {
         out
     }
 
+    /// Sweeps every adjacent pair with mixed column and row rotations,
+    /// once through the batched rotations at `reach` and once through
+    /// the full-walk elementwise reference, and asserts bit-identical
+    /// bands. The band starts filled up to distance `reach` above the
+    /// diagonal (the live band plus the bulge slot). Before each rotation
+    /// both copies zero the cells the real chase keeps zero: the boundary
+    /// cells a rotation could spill out of the stored band from, and the
+    /// pairs outside the rotation's live window.
+    fn assert_window_matches_reference(
+        n: usize,
+        sub: usize,
+        sup: usize,
+        reach: usize,
+        next: &mut impl FnMut() -> f64,
+    ) {
+        let win = sup.min(reach);
+        let mut a = BandMatrix::<f64>::zeros(n, sub, sup);
+        a.refill_from_dense(|i, j| {
+            if j <= i || j - i <= reach {
+                next()
+            } else {
+                0.0
+            }
+        });
+        let mut b = a.clone();
+        let zero = |m: &mut BandMatrix<f64>, i: usize, j: usize| {
+            if m.in_band(i, j) {
+                m.set(i, j, 0.0);
+            }
+        };
+        for k in 0..n - 1 {
+            let ang = 0.1 + 0.37 * k as f64;
+            let (c, s) = (ang.cos(), ang.sin());
+            let zi = (k / 2).max((k + 1).saturating_sub(win));
+            for m in [&mut a, &mut b] {
+                for i in k.saturating_sub(sup)..(k + 1).saturating_sub(win) {
+                    zero(m, i, k);
+                    zero(m, i, k + 1);
+                }
+                zero(m, k + 1 + sub, k + 1);
+            }
+            a.givens_cols(k, c, s, zi, reach);
+            ref_givens_cols(&mut b, k, c, s, zi);
+            let zj = (k + 1).min(n - 1);
+            for m in [&mut a, &mut b] {
+                if k >= sub {
+                    zero(m, k, k - sub);
+                }
+                for j in (k + win + 1)..=(k + sup + 1).min(n - 1) {
+                    zero(m, k, j);
+                    zero(m, k + 1, j);
+                }
+            }
+            a.givens_rows(k, s, c, zj, reach);
+            ref_givens_rows(&mut b, k, s, c, zj);
+        }
+        assert_eq!(
+            band_bits(&a),
+            band_bits(&b),
+            "batched rotation diverged from elementwise (n={n}, sub={sub}, sup={sup}, reach={reach})"
+        );
+    }
+
     #[test]
     fn batched_rotations_bit_identical_to_elementwise() {
         // Pseudo-random band values via a simple LCG (bit-exact, no rand
@@ -548,46 +637,39 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         };
-        for (n, sub, sup) in [(12usize, 1usize, 5usize), (9, 2, 3), (7, 0, 2), (5, 1, 1)] {
-            let mut a = BandMatrix::<f64>::zeros(n, sub, sup);
-            a.refill_from_dense(|_, _| next());
-            let mut b = a.clone();
-            // Sweep every adjacent pair with varying rotations and zero
-            // targets, mixing row and column rotations. The chase
-            // invariant (a rotation never pushes a nonzero value out of
-            // the stored band) is established by zeroing the one boundary
-            // cell each rotation could spill from — exactly the cells the
-            // real algorithm keeps zero.
-            for k in 0..n - 1 {
-                let ang = 0.1 + 0.37 * k as f64;
-                let (c, s) = (ang.cos(), ang.sin());
-                for m in [&mut a, &mut b] {
-                    if k >= sup {
-                        m.set(k - sup, k, 0.0);
-                    }
-                    if k + 1 + sub < n {
-                        m.set(k + 1 + sub, k + 1, 0.0);
-                    }
+        for (n, sub, sup) in [
+            (12usize, 1usize, 5usize),
+            (9, 2, 3),
+            (7, 0, 2),
+            (5, 1, 1),
+            (16, 1, 7),
+        ] {
+            // `reach >= sup` is the full walk; smaller reaches bound it
+            // to the live window.
+            for reach in [sup, usize::MAX, 1, 2, sup / 2, sup - 1] {
+                if reach >= 1 {
+                    assert_window_matches_reference(n, sub, sup, reach, &mut next);
                 }
-                a.givens_cols(k, c, s, k / 2);
-                ref_givens_cols(&mut b, k, c, s, k / 2);
-                for m in [&mut a, &mut b] {
-                    if k >= sub {
-                        m.set(k, k - sub, 0.0);
-                    }
-                    if k + sup + 1 < n {
-                        m.set(k + 1, k + sup + 1, 0.0);
-                    }
-                }
-                a.givens_rows(k, s, c, (k + 1).min(n - 1));
-                ref_givens_rows(&mut b, k, s, c, (k + 1).min(n - 1));
             }
-            assert_eq!(
-                band_bits(&a),
-                band_bits(&b),
-                "batched rotation diverged from elementwise (n={n}, sub={sub}, sup={sup})"
-            );
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "skipped a nonzero")]
+    fn column_window_rejects_nonzero_beyond_reach() {
+        let mut b = BandMatrix::<f64>::zeros(8, 1, 4);
+        b.set(2, 5, 1.0); // distance 3 in column 5, outside reach 2
+        b.givens_cols(5, 0.6, 0.8, 4, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "skipped a nonzero")]
+    fn row_window_rejects_nonzero_beyond_reach() {
+        let mut b = BandMatrix::<f64>::zeros(8, 1, 4);
+        b.set(3, 7, 1.0); // distance 4 in row 3, outside reach 2
+        b.givens_rows(2, 0.6, 0.8, 2, 2);
     }
 
     #[test]

@@ -589,3 +589,119 @@ fn fault_schedule_bit_identical_across_thread_counts() {
         "different seeds may not share a fault schedule"
     );
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of each word.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Deterministic integer-generated input: entries `k / 512` with
+/// `|k| ≤ 510`, exactly representable in F16, f32 and f64.
+fn integer_matrix<T: unisvd::Scalar>(m: usize, n: usize) -> Matrix<T> {
+    Matrix::<f64>::from_fn(m, n, |i, j| {
+        let h =
+            (i as u64 * 0x9e37_79b9 + j as u64 * 0x85eb_ca6b + (i * j) as u64 * 0x27d4_eb2f) % 1021;
+        (h as f64 - 510.0) / 512.0
+    })
+    .cast::<T>()
+}
+
+/// Fingerprint of a fresh plan's output: values, then `U`, then `Vᵀ`
+/// (both column-major), hashed over their `f64` bit patterns.
+fn solve_fingerprint<T: unisvd::Scalar>(m: usize, n: usize, want: unisvd::Want) -> u64 {
+    let cfg = SvdConfig {
+        vectors: want,
+        ..SvdConfig::default()
+    };
+    let mut plan = Svd::on(&hw::h100())
+        .precision::<T>()
+        .config(cfg)
+        .plan(m, n)
+        .unwrap();
+    let out = plan.execute(&integer_matrix::<T>(m, n)).unwrap();
+    let mut bits: Vec<u64> = out.values.iter().map(|v| v.to_bits()).collect();
+    for f in [out.u.as_ref(), out.vt.as_ref()].into_iter().flatten() {
+        for j in 0..f.cols() {
+            for i in 0..f.rows() {
+                bits.push(f[(i, j)].to_bits());
+            }
+        }
+    }
+    fnv1a(bits)
+}
+
+/// Output hashes pinned from the code before the stage-2 live-window
+/// rotation. A bit-identical optimisation must leave every one unchanged;
+/// a deliberate numerical change re-pins the table and says why.
+const PINNED_FINGERPRINTS: [(&str, u64); 28] = [
+    ("f32 33x33 None", 0x692365300a3d64a0),
+    ("f64 33x33 None", 0xa4c4aae48fae1344),
+    ("f32 33x33 Thin", 0x6f7c7d31b6586e6c),
+    ("f64 33x33 Thin", 0x401719e423051520),
+    ("f32 33x33 TopK(5)", 0x69e00eb6a44e4c75),
+    ("f64 33x33 TopK(5)", 0xbf12d938d2ac89da),
+    ("F16 33x33 None", 0x50d44cf4e743cd98),
+    ("f32 100x60 None", 0xa7eb985ec6fa7db8),
+    ("f64 100x60 None", 0xf8d7e3f5bb860b51),
+    ("f32 100x60 Thin", 0x1052c9ad573d87fb),
+    ("f64 100x60 Thin", 0x15549cf713886916),
+    ("f32 100x60 TopK(5)", 0x081d78f0e1a77d47),
+    ("f64 100x60 TopK(5)", 0x51833660844bfd0c),
+    ("F16 100x60 None", 0x2a606a8ae1d2dd61),
+    ("f32 60x100 None", 0xfe850c27752e9c36),
+    ("f64 60x100 None", 0x70f39b31bf94aa42),
+    ("f32 60x100 Thin", 0x5c48a4975b433737),
+    ("f64 60x100 Thin", 0xb427bb3e401f186a),
+    ("f32 60x100 TopK(5)", 0xc6effe8eb8507fc0),
+    ("f64 60x100 TopK(5)", 0xec7e1e244db9fe2e),
+    ("F16 60x100 None", 0xbd05fe4be9fa4961),
+    ("f32 128x128 None", 0x908bde79b55c597c),
+    ("f64 128x128 None", 0x62cc35ca344f20b0),
+    ("f32 128x128 Thin", 0xccadb981052416a2),
+    ("f64 128x128 Thin", 0x7ca10aa015b35864),
+    ("f32 128x128 TopK(5)", 0x776322e7d06ce489),
+    ("f64 128x128 TopK(5)", 0x8b424a57873929ff),
+    ("F16 128x128 None", 0xd4b2943b1a87c406),
+];
+
+#[test]
+fn solve_fingerprints_match_pinned_reference() {
+    use unisvd::{Want, F16};
+    let shapes = [(33, 33), (100, 60), (60, 100), (128, 128)];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (m, n) in shapes {
+        for want in [Want::None, Want::Thin, Want::TopK(5)] {
+            got.push((
+                format!("f32 {m}x{n} {want:?}"),
+                solve_fingerprint::<f32>(m, n, want),
+            ));
+            got.push((
+                format!("f64 {m}x{n} {want:?}"),
+                solve_fingerprint::<f64>(m, n, want),
+            ));
+        }
+        got.push((
+            format!("F16 {m}x{n} None"),
+            solve_fingerprint::<F16>(m, n, Want::None),
+        ));
+    }
+    let pinned: Vec<(String, u64)> = PINNED_FINGERPRINTS
+        .iter()
+        .map(|&(k, h)| (k.to_string(), h))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(k, h)| format!("    ({k:?}, {h:#018x}),\n"))
+        .collect();
+    assert!(
+        got == pinned,
+        "solve fingerprints moved; computed table:\n{table}"
+    );
+}
